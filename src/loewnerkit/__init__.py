@@ -22,7 +22,6 @@ from .expansions import (
     gauss_legendre,
     herglotz_mixture_check,
     integrated_kernel,
-    jb_kernel,
     koebe_log_element_check,
     nevanlinna_split_check,
     paley_wiener_reconstruction_check,
@@ -38,6 +37,7 @@ from .flows import (
     RadialFlowSpec,
     chordal_transition,
     flow_trace,
+    iter_flow_trace,
     koebe_eval,
     radial_transition,
     sqrt_halfplane,
@@ -55,7 +55,6 @@ from .kernels import (
     PickSpaceKernel,
     diag_bound_scan,
     gram,
-    kernel_eval,
     membership_test,
     psd_check,
     rkhs_norm_estimate,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from . import __version__
 from .errors import ConfigError, FlowEscapeError, LoewnerkitError
 from .expansions import (
+    IdentityReport,
     cayley_isometry_check,
     chordal_derivative_identity_check,
     chordal_exp_element_check,
@@ -27,6 +28,7 @@ from .expansions import (
     koebe_log_element_check,
     nevanlinna_split_check,
     paley_wiener_reconstruction_check,
+    pick_constant_element,
     radial_derivative_identity_check,
     resolution_check,
 )
@@ -36,7 +38,7 @@ from .flows import (
     ChordalFlowSpec,
     OdeConfig,
     RadialFlowSpec,
-    chordal_transition,
+    iter_flow_trace,
     radial_transition,
 )
 from .kernels import (
@@ -51,7 +53,7 @@ from .kernels import (
     membership_test,
     psd_check,
 )
-from .moebius import cayley_to_disk, cayley_to_halfplane
+from .moebius import cayley_to_disk, cayley_to_halfplane, require_disk, require_halfplane
 from .representations import AtomicMeasure, PickRepresentation, pick_eval
 from .sampling import (
     DISK_RMAX_SAFE,
@@ -68,36 +70,7 @@ from .sampling import (
 
 SCHEMA_VERSION = 1
 
-SUITES = (
-    "cayley-isometry",
-    "chordal-derivative",
-    "chordal-exp-element",
-    "chordal-exp-kernel",
-    "herglotz-mixture",
-    "kernel-psd",
-    "koebe-log",
-    "membership",
-    "nevanlinna-split",
-    "pw-reconstruction",
-    "radial-derivative",
-    "resolution",
-)
-
-DEFAULT_TOLS = {
-    "cayley-isometry": 1e-10,
-    "chordal-derivative": 1e-5,
-    "chordal-exp-element": 1e-8,
-    "chordal-exp-kernel": 1e-8,
-    "herglotz-mixture": 1e-12,
-    "kernel-psd": 1e-8,
-    "koebe-log": 1e-8,
-    "membership": 0.0,
-    "nevanlinna-split": 1e-12,
-    "pw-reconstruction": 1e-10,
-    "radial-derivative": 1e-5,
-    "resolution": 1e-8,
-}
-
+MAX_NODES = 1024
 MEMBERSHIP_SIZES = (16, 32, 64, 128)
 MEMBERSHIP_EPS = 1e-8
 
@@ -117,7 +90,7 @@ class SuiteConfig:
     def tol_for(self, suite: str) -> float:
         if self.tols and suite in self.tols:
             return float(self.tols[suite])
-        return DEFAULT_TOLS[suite]
+        return SUITE_TABLE[suite][1]
 
     def echo(self) -> dict:
         out = {
@@ -143,7 +116,9 @@ def _fail(msg: str):
 
 
 def _check_number(value, name, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # abs(value) <= max float compares an int exactly, so it also rejects
+    # ints too large to convert, where math.isfinite would overflow.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         _fail(f"{name} must be a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(f"{name} must be >= {minimum}, got {value}")
@@ -173,8 +148,8 @@ def validate_config(raw: dict) -> SuiteConfig:
     b = _check_number(raw.get("b", 1.0), "b", minimum=a)
 
     nodes = raw.get("nodes", 64)
-    if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 1:
-        _fail(f"nodes must be a positive integer, got {nodes!r}")
+    if isinstance(nodes, bool) or not isinstance(nodes, int) or not 1 <= nodes <= MAX_NODES:
+        _fail(f"nodes must be an integer in [1, {MAX_NODES}], got {nodes!r}")
 
     tols = None
     if "tol" in raw:
@@ -203,6 +178,12 @@ def validate_config(raw: dict) -> SuiteConfig:
             re, im, w = (_check_number(v, "herglotz atom entry") for v in atom)
             parsed.append((re, im, w))
         herglotz_atoms = tuple(parsed)
+        try:
+            mu = _herglotz_measure(herglotz_atoms)
+        except ValueError as exc:
+            _fail(f"herglotz_atoms: {exc}")
+        if not (mu.on_unit_circle() and mu.is_probability()):
+            _fail("herglotz_atoms must form a probability measure on the unit circle")
 
     pick_rep = None
     if "pick_rep" in raw:
@@ -220,6 +201,10 @@ def validate_config(raw: dict) -> SuiteConfig:
             t, w = (_check_number(v, "pick_rep atom entry") for v in atom)
             rep_atoms.append([t, w])
         pick_rep = {"b": rep_b, "c": rep_c, "atoms": rep_atoms}
+        try:
+            _pick_representation(pick_rep)
+        except (ValueError, OverflowError) as exc:  # OverflowError: an atom t with t**2 beyond max float
+            _fail(f"pick_rep: {exc}")
 
     corrupt = raw.get("corrupt_psd", False)
     if not isinstance(corrupt, bool):
@@ -275,17 +260,22 @@ def _pick_psi(z):
     return cayley_to_disk(_pick_phi(cayley_to_halfplane(z)))
 
 
+def _pick_representation(rep: dict) -> PickRepresentation:
+    return PickRepresentation(rep["b"], rep["c"], AtomicMeasure(tuple((t, w) for t, w in rep["atoms"])))
+
+
+def _herglotz_measure(atoms) -> AtomicMeasure:
+    return AtomicMeasure(tuple((complex(re, im), w) for re, im, w in atoms))
+
+
 def _configured_pick_rep(cfg, fallback: PickRepresentation) -> PickRepresentation:
-    if cfg.pick_rep is None:
-        return fallback
-    atoms = tuple((t, w) for t, w in cfg.pick_rep["atoms"])
-    return PickRepresentation(cfg.pick_rep["b"], cfg.pick_rep["c"], AtomicMeasure(atoms))
+    return fallback if cfg.pick_rep is None else _pick_representation(cfg.pick_rep)
 
 
 def _default_herglotz_measure(cfg) -> AtomicMeasure:
     if cfg.herglotz_atoms is None:
         return AtomicMeasure(((1.0, 0.5), (-1.0, 0.3), (cmath.exp(0.7j), 0.2)))
-    return AtomicMeasure(tuple((complex(re, im), w) for re, im, w in cfg.herglotz_atoms))
+    return _herglotz_measure(cfg.herglotz_atoms)
 
 
 def _suite_kernel_psd(cfg: SuiteConfig):
@@ -340,52 +330,29 @@ def _suite_resolution(cfg: SuiteConfig):
     return [_identity_entry("resolution", resolution_check(flow, rule, pairs, cfg.tol_for("resolution")))]
 
 
-def _suite_radial_derivative(cfg: SuiteConfig):
-    flow, _ = _koebe_b_end(cfg)
-    tol = cfg.tol_for("radial-derivative")
+def _derivative_suite(cfg: SuiteConfig, suite: str, flow, pairs, check):
+    """Worst finite-difference error of ``check`` over ``pairs``, the i-th
+    pair at the i-th of len(pairs) times spread over [a + h, b - h]."""
+    tol = cfg.tol_for(suite)
     h = 1e-4
-    pairs = disk_pairs(20, cfg.seed, rmax=DISK_RMAX_SAFE)
     span = max(cfg.b - cfg.a - 2.0 * h, 0.0)
     max_err = 0.0
     for i, (lam, z) in enumerate(pairs):
         t = cfg.a + h + span * (i + 0.5) / len(pairs)
-        report = radial_derivative_identity_check(flow, t, lam, z, h, tol)
-        max_err = max(max_err, report.max_abs_err)
-    return [
-        {
-            "suite": "radial-derivative",
-            "kind": "identity",
-            "name": "radial-derivative",
-            "sample_pairs": len(pairs),
-            "max_abs_err": max_err,
-            "tol": tol,
-            "pass": max_err <= tol,
-        }
-    ]
+        max_err = max(max_err, check(flow, t, lam, z, h, tol).max_abs_err)
+    return [_identity_entry(suite, IdentityReport(suite, len(pairs), max_err, tol, max_err <= tol))]
+
+
+def _suite_radial_derivative(cfg: SuiteConfig):
+    pairs = disk_pairs(20, cfg.seed, rmax=DISK_RMAX_SAFE)
+    flow = RadialFlowSpec.koebe(cfg.a, cfg.b)
+    return _derivative_suite(cfg, "radial-derivative", flow, pairs, radial_derivative_identity_check)
 
 
 def _suite_chordal_derivative(cfg: SuiteConfig):
-    flow = ChordalFlowSpec.basic_slit(cfg.a, cfg.b)
-    tol = cfg.tol_for("chordal-derivative")
-    h = 1e-4
     pairs = halfplane_pairs(20, cfg.seed, rect=HALFPLANE_RECT_SAFE)
-    span = max(cfg.b - cfg.a - 2.0 * h, 0.0)
-    max_err = 0.0
-    for i, (alpha, z) in enumerate(pairs):
-        t = cfg.a + h + span * (i + 0.5) / len(pairs)
-        report = chordal_derivative_identity_check(flow, t, alpha, z, h, tol)
-        max_err = max(max_err, report.max_abs_err)
-    return [
-        {
-            "suite": "chordal-derivative",
-            "kind": "identity",
-            "name": "chordal-derivative",
-            "sample_pairs": len(pairs),
-            "max_abs_err": max_err,
-            "tol": tol,
-            "pass": max_err <= tol,
-        }
-    ]
+    flow = ChordalFlowSpec.basic_slit(cfg.a, cfg.b)
+    return _derivative_suite(cfg, "chordal-derivative", flow, pairs, chordal_derivative_identity_check)
 
 
 def _suite_koebe_log(cfg: SuiteConfig):
@@ -486,14 +453,11 @@ def _suite_membership(cfg: SuiteConfig):
     def psi_of_rep(z):
         return cayley_to_disk(pick_eval(rep, cayley_to_halfplane(z)))
 
-    def constant_element(z):
-        return (1.0 - psi_of_rep(z)) / (1.0 - z)
-
     entries.append(
         _membership_entry(
             "membership",
             "pick-constant-element",
-            membership_test(DbrDiskKernel(psi_of_rep), constant_element, sets, MEMBERSHIP_EPS),
+            membership_test(DbrDiskKernel(psi_of_rep), pick_constant_element(psi_of_rep, rep), sets, MEMBERSHIP_EPS),
             BOUNDED,
         )
     )
@@ -509,20 +473,24 @@ def _suite_pw_reconstruction(cfg: SuiteConfig):
     return [_identity_entry("pw-reconstruction", report)]
 
 
-SUITE_RUNNERS = {
-    "cayley-isometry": _suite_cayley_isometry,
-    "chordal-derivative": _suite_chordal_derivative,
-    "chordal-exp-element": _suite_chordal_exp_element,
-    "chordal-exp-kernel": _suite_chordal_exp_kernel,
-    "herglotz-mixture": _suite_herglotz_mixture,
-    "kernel-psd": _suite_kernel_psd,
-    "koebe-log": _suite_koebe_log,
-    "membership": _suite_membership,
-    "nevanlinna-split": _suite_nevanlinna_split,
-    "pw-reconstruction": _suite_pw_reconstruction,
-    "radial-derivative": _suite_radial_derivative,
-    "resolution": _suite_resolution,
+# Suite name -> (runner, default tolerance).
+SUITE_TABLE = {
+    "cayley-isometry": (_suite_cayley_isometry, 1e-10),
+    "chordal-derivative": (_suite_chordal_derivative, 1e-5),
+    "chordal-exp-element": (_suite_chordal_exp_element, 1e-8),
+    "chordal-exp-kernel": (_suite_chordal_exp_kernel, 1e-8),
+    "herglotz-mixture": (_suite_herglotz_mixture, 1e-12),
+    "kernel-psd": (_suite_kernel_psd, 1e-8),
+    "koebe-log": (_suite_koebe_log, 1e-8),
+    "membership": (_suite_membership, 0.0),
+    "nevanlinna-split": (_suite_nevanlinna_split, 1e-12),
+    "pw-reconstruction": (_suite_pw_reconstruction, 1e-10),
+    "radial-derivative": (_suite_radial_derivative, 1e-5),
+    "resolution": (_suite_resolution, 1e-8),
 }
+# A tuple, so that an unhashable config value such as a list tests as not
+# a member instead of raising TypeError.
+SUITES = tuple(SUITE_TABLE)
 
 
 def run(config: SuiteConfig) -> dict:
@@ -532,8 +500,10 @@ def run(config: SuiteConfig) -> dict:
     entries = []
     for name in sorted(names):
         try:
-            entries.extend(SUITE_RUNNERS[name](config))
-        except LoewnerkitError as exc:
+            entries.extend(SUITE_TABLE[name][0](config))
+        # The library raises ValueError for inputs it cannot evaluate, such
+        # as a == b, which leaves no room for a finite-difference step.
+        except (LoewnerkitError, ValueError) as exc:
             entries.append({"suite": name, "kind": "error", "name": name, "error": str(exc), "pass": False})
     overall = all(entry["pass"] for entry in entries)
     return {
@@ -592,29 +562,16 @@ def _emit(obj, out):
 
 # --- trace -------------------------------------------------------------
 
-def trace_rows(flow, z: complex, n: int):
-    """Generate CSV rows "t,re,im" for a flow trace; a mid-trace escape
-    propagates as FlowEscapeError after the completed rows were yielded."""
-    if isinstance(flow, RadialFlowSpec):
-        lo, hi, transition = flow.a, flow.b, radial_transition
-    else:
-        lo, hi, transition = flow.r, flow.s, chordal_transition
-    times = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    for t in times:
-        value = transition(flow, t, z)
-        yield f"{format(t, '.17g')},{format(value.real, '.17g')},{format(value.imag, '.17g')}"
-
-
 def _run_trace(args) -> int:
     try:
         z = complex(float(args.z_re), float(args.z_im))
         ode = OdeConfig(args.step) if args.step else OdeConfig()
         if args.flow == "koebe":
             flow = RadialFlowSpec.koebe(args.a, args.b, backend=args.backend, ode=ode)
-            radial_transition(flow, args.a, z)
+            require_disk(z)
         else:
             flow = ChordalFlowSpec.basic_slit(args.a, args.b, backend=args.backend, ode=ode)
-            chordal_transition(flow, args.a, z)
+            require_halfplane(z)
         if args.n < 2:
             raise ConfigError("n must be at least 2")
     except (ValueError, LoewnerkitError) as exc:
@@ -626,8 +583,8 @@ def _run_trace(args) -> int:
     try:
         print("t,re,im", file=out)
         try:
-            for row in trace_rows(flow, z, args.n):
-                print(row, file=out)
+            for t, value in iter_flow_trace(flow, z, args.n):
+                print(f"{format(t, '.17g')},{format(value.real, '.17g')},{format(value.imag, '.17g')}", file=out)
         except FlowEscapeError as exc:
             print(f"error,{str(exc).replace(',', ';')}", file=out)
             code = 3
@@ -673,7 +630,9 @@ def _run_suites(args) -> int:
         try:
             with open(args.config) as handle:
                 raw = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError also covers undecodable bytes and integers with more
+        # digits than int() converts, which are not JSONDecodeError.
+        except (OSError, ValueError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
         if not isinstance(raw, dict):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import BranchCutError
 from .flows import ChordalFlowSpec, RadialFlowSpec, chordal_transition, radial_transition
-from .kernels import DbrDiskKernel, PickSpaceKernel, gram, membership_test
+from .kernels import DbrDiskKernel, LoewnerTimeKernel, PickSpaceKernel, gram, membership_test
 from .moebius import cayley_to_disk, cayley_to_halfplane, require_disk, require_halfplane
 from .representations import AtomicMeasure, PickRepresentation, herglotz_eval, pick_eval
 from .sampling import membership_halfplane_sets
@@ -110,22 +110,6 @@ def integrated_kernel(b_family, base_kernel, rule: QuadratureRule, lam: complex,
     return acc
 
 
-def jb_kernel(kernel_family, b_family, rule: QuadratureRule, lam: complex, z: complex) -> complex:
-    """Quadrature of k(x, B(x, z), B(x, lam)): the kernel of the composition
-    integral operator f -> integral of f(x, B(x, z))."""
-    acc = 0.0 + 0.0j
-    for x, w in zip(rule.nodes, rule.weights):
-        acc += w * kernel_family(x, b_family(x, z), b_family(x, lam))
-    return acc
-
-
-def _loewner_kernel_value(flow: RadialFlowSpec, t: float, z: complex, w: complex) -> complex:
-    mu = flow.driver_measure(t)
-    phi_z = herglotz_eval(mu, radial_transition(flow, t, z))
-    phi_w = herglotz_eval(mu, radial_transition(flow, t, w))
-    return (phi_w.conjugate() + phi_z) / (1.0 - w.conjugate() * z)
-
-
 def resolution_check(flow: RadialFlowSpec, rule: QuadratureRule, point_pairs, tol: float = 1e-8) -> IdentityReport:
     """Continuous resolution of the de Branges-Rovnyak kernel along a radial
     flow: 1 + integral of conj(B_t(lam)) B_t(mu) k(t, mu, lam) dt equals
@@ -135,7 +119,7 @@ def resolution_check(flow: RadialFlowSpec, rule: QuadratureRule, point_pairs, to
         return radial_transition(flow, t, z)
 
     def base_kernel(t, z, w):
-        return _loewner_kernel_value(flow, t, z, w)
+        return LoewnerTimeKernel(flow, t)(z, w)
 
     max_err = 0.0
     for lam, mu in point_pairs:
@@ -165,7 +149,7 @@ def radial_derivative_identity_check(flow: RadialFlowSpec, t: float, lam: comple
     fd = (quotient(t + h) - quotient(t - h)) / (2.0 * h)
     b_lam = radial_transition(flow, t, lam)
     b_z = radial_transition(flow, t, z)
-    rhs = _loewner_kernel_value(flow, t, z, lam) * b_lam.conjugate() * b_z
+    rhs = LoewnerTimeKernel(flow, t)(z, lam) * b_lam.conjugate() * b_z
     rel = abs(fd - rhs) / max(1.0, abs(rhs))
     return _report("radial-derivative", 1, rel, tol)
 

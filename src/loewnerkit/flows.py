@@ -141,15 +141,6 @@ class ChordalFlowSpec:
     def basic_slit(cls, r: float, s: float, backend: str = CLOSED_FORM, ode: OdeConfig = None) -> "ChordalFlowSpec":
         return cls(r, s, None, backend, ode or OdeConfig())
 
-    def driver_measure(self, t: float) -> AtomicMeasure:
-        if self.driver is None:
-            return AtomicMeasure.dirac(0.0)
-        chosen = self.driver[0][1]
-        for bp, mu in self.driver:
-            if bp <= t + _TIME_SLACK:
-                chosen = mu
-        return chosen
-
 
 def koebe_eval(t: float, z: complex) -> complex:
     """Koebe function e^t z / (1 - z)^2 at z in D."""
@@ -270,8 +261,9 @@ def chordal_transition(spec: ChordalFlowSpec, s: float, z: complex) -> complex:
     )
 
 
-def flow_trace(spec, z: complex, n_samples: int):
-    """Equally spaced samples (t, B_t(z)) along the flow interval."""
+def iter_flow_trace(spec, z: complex, n_samples: int):
+    """Yield the samples of ``flow_trace`` one by one, so that a caller keeps
+    the samples yielded before a FlowEscapeError."""
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -281,5 +273,11 @@ def flow_trace(spec, z: complex, n_samples: int):
         lo, hi, transition = spec.r, spec.s, chordal_transition
     else:
         raise TypeError(f"unsupported flow spec {type(spec).__name__}")
-    times = [lo + (hi - lo) * i / (n_samples - 1) for i in range(n_samples)]
-    return [(t, transition(spec, t, z)) for t in times]
+    for i in range(n_samples):
+        t = lo + (hi - lo) * i / (n_samples - 1)
+        yield t, transition(spec, t, z)
+
+
+def flow_trace(spec, z: complex, n_samples: int):
+    """Equally spaced samples (t, B_t(z)) along the flow interval."""
+    return list(iter_flow_trace(spec, z, n_samples))

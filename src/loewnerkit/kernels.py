@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,11 +97,6 @@ class LoewnerTimeKernel:
         phi_z = herglotz_eval(mu, radial_transition(self.flow, self.t, z))
         phi_w = herglotz_eval(mu, radial_transition(self.flow, self.t, w))
         return (phi_w.conjugate() + phi_z) / (1.0 - w.conjugate() * z)
-
-
-def kernel_eval(spec, z: complex, w: complex) -> complex:
-    """Evaluate a catalog kernel at (z, w); domain checks are the kernel's."""
-    return spec(z, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,15 +208,8 @@ class MembershipReport:
 
 
 def _is_nested(smaller, larger) -> bool:
-    remaining = list(larger)
-    for p in smaller:
-        for i, q in enumerate(remaining):
-            if p == q:
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
+    """True if ``smaller`` is a sub-multiset of ``larger`` under exact equality."""
+    return not Counter(smaller) - Counter(larger)
 
 
 def membership_test(spec, func, nested_sets, eps: float, growth_ratio: float = 10.0, plateau_rtol: float = 0.01) -> MembershipReport:

@@ -41,10 +41,6 @@ class AtomicMeasure:
     def dirac(cls, location, weight: float = 1.0) -> "AtomicMeasure":
         return cls(((location, weight),))
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "AtomicMeasure":
-        return cls(tuple(pairs))
-
     def total_mass(self) -> float:
         return sum(w for _, w in self.atoms)
 

@@ -1,11 +1,20 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loewnerkit.cli import SUITES, dumps_report, main, validate_config
+import loewnerkit
+from loewnerkit.cli import SUITES, SuiteConfig, dumps_report, main, validate_config
 from loewnerkit.errors import ConfigError
+
+SRC_DIR = str(Path(loewnerkit.__file__).resolve().parents[1])
 
 
 def _run(args, capsys):
@@ -16,6 +25,16 @@ def _run(args, capsys):
 
 def _strip_wall_clock(text: str) -> str:
     return re.sub(r',"wall_clock_ms":\d+', "", text)
+
+
+def _run_process(args):
+    """Run the CLI in a fresh interpreter, where an uncaught exception shows
+    as a traceback on stderr and exit code 1."""
+    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "loewnerkit.cli", *args], capture_output=True, text=True, env=env, timeout=300
+    )
 
 
 class TestValidateConfig:
@@ -53,6 +72,48 @@ class TestValidateConfig:
         assert cfg.pick_rep["c"] == 1.0
         with pytest.raises(ConfigError):
             validate_config({"suite": "nevanlinna-split", "pick_rep": {"b": 0.0}})
+        with pytest.raises(ConfigError):  # t**2 overflows a float
+            validate_config({"suite": "nevanlinna-split", "pick_rep": {"b": 0.0, "c": 1.0, "atoms": [[1e160, 1.0]]}})
+
+
+_NUMBERS = st.integers() | st.floats() | st.sampled_from([2**1024, -(10**400), int("1" * 400)])
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_CONFIG = st.fixed_dictionaries(
+    {},
+    optional={
+        "schema": st.just(1) | _JSON,
+        "suite": st.sampled_from(SUITES + ("all",)) | _JSON,
+        "seed": _NUMBERS | _JSON,
+        "a": _NUMBERS | _JSON,
+        "b": _NUMBERS | _JSON,
+        "nodes": _NUMBERS | _JSON,
+        "tol": _NUMBERS | st.dictionaries(st.sampled_from(SUITES) | st.text(max_size=4), _NUMBERS | _JSON) | _JSON,
+        "herglotz_atoms": st.lists(st.lists(_NUMBERS, min_size=3, max_size=3) | _JSON, max_size=3) | _JSON,
+        "pick_rep": st.fixed_dictionaries(
+            {
+                "b": _NUMBERS,
+                "c": _NUMBERS,
+                "atoms": st.lists(st.lists(_NUMBERS, min_size=2, max_size=2) | _JSON, max_size=3),
+            }
+        )
+        | _JSON,
+        "corrupt_psd": st.booleans() | _JSON,
+    },
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_CONFIG)
+def test_validate_config_accepts_or_raises_config_error(raw):
+    try:
+        cfg = validate_config(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, SuiteConfig)
 
 
 class TestRun:
@@ -137,6 +198,48 @@ class TestRun:
         code, out = _run(["run", "--config", str(cfg)], capsys)
         assert code == 0
         assert json.loads(out)["config"]["pick_rep"]["c"] == 3.0
+
+    @pytest.mark.parametrize(
+        "config, code",
+        [
+            ({"suite": "herglotz-mixture", "herglotz_atoms": [[1, 0, 0.5]]}, 2),
+            ({"suite": "nevanlinna-split", "pick_rep": {"b": 0, "c": 1, "atoms": [[0, -1]]}}, 2),
+            ({"suite": "resolution", "a": int("1" * 400)}, 2),
+            ({"suite": "resolution", "tol": int("1" * 400)}, 2),
+            ({"suite": "resolution", "nodes": 100000}, 2),
+            ({"suite": ["resolution"]}, 2),
+            ({"suite": "all", "a": 0.5, "b": 0.5}, 3),
+        ],
+        ids=[
+            "herglotz-not-probability",
+            "pick-negative-weight",
+            "huge-int-a",
+            "huge-int-tol",
+            "nodes-over-cap",
+            "list-suite",
+            "a-equals-b",
+        ],
+    )
+    def test_bad_config_exits_cleanly(self, tmp_path, config, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        proc = _run_process(["run", "--config", str(cfg)])
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code == 3:
+            errors = {e["suite"] for e in json.loads(proc.stdout)["entries"] if e["kind"] == "error"}
+            assert errors == {"chordal-derivative", "radial-derivative"}
+
+    @pytest.mark.parametrize(
+        "text",
+        [b'{"suite": "resolution", "a": ' + b"1" * 5000 + b"}", b'{"suite": "resolution", "a": \xff}'],
+        ids=["digits-over-int-limit", "invalid-utf8"],
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        assert main(["run", "--config", str(cfg)]) == 2
+        capsys.readouterr()
 
 
 class TestDumpsReport:

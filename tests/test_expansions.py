@@ -23,7 +23,6 @@ from loewnerkit import (
     gauss_legendre,
     herglotz_mixture_check,
     integrated_kernel,
-    jb_kernel,
     koebe_log_element_check,
     nevanlinna_split_check,
     paley_wiener_reconstruction_check,
@@ -103,30 +102,6 @@ class TestIntegratedKernel:
     def test_rule_must_cover_band(self):
         with pytest.raises(ValueError):
             paley_wiener_reconstruction_check(1.0, gauss_legendre(16, 0.0, 1.0), [(0.1, 0.2)])
-
-
-class TestJbKernel:
-    def test_constant_integrand(self):
-        value = jb_kernel(lambda x, z, w: 1.0, lambda x, z: z, RULE, 0.2, 0.5)
-        assert abs(value - 1.0) <= 1e-14
-
-    def test_quadratic_moment(self):
-        lam, z = 0.5 + 0.2j, 0.3 - 0.1j
-        value = jb_kernel(lambda x, z_, w_: w_.conjugate() * z_, lambda x, z_: x * z_, RULE, lam, z)
-        assert abs(value - lam.conjugate() * z / 3.0) <= 1e-14
-
-    def test_hermitian_symmetry_scan(self):
-        def kernel(x, z, w):
-            return (1.0 + x) / (1.0 - w.conjugate() * z)
-
-        def family(x, z):
-            return 0.5 * z * cmath.exp(1j * x)
-
-        rule = gauss_legendre(16, 0.0, 1.0)
-        for z, lam in disk_pairs(100, 21):
-            a = jb_kernel(kernel, family, rule, lam, z)
-            b = jb_kernel(kernel, family, rule, z, lam)
-            assert abs(a - b.conjugate()) <= 1e-12
 
 
 class TestResolution:
