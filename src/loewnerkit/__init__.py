@@ -21,7 +21,6 @@ from .expansions import (
     flow_rule,
     gauss_legendre,
     herglotz_mixture_check,
-    integrated_kernel,
     koebe_log_element_check,
     nevanlinna_split_check,
     paley_wiener_reconstruction_check,

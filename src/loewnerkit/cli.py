@@ -15,6 +15,8 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigError, FlowEscapeError, LoewnerkitError
 from .expansions import (
@@ -493,6 +495,8 @@ SUITE_TABLE = {
 SUITES = tuple(SUITE_TABLE)
 
 
+# A non-finite value becomes an error entry, so numpy need not warn about it.
+@np.errstate(all="ignore")
 def run(config: SuiteConfig) -> dict:
     """Execute the configured suite(s) and return the report as a dict."""
     start = time.perf_counter()
@@ -500,7 +504,13 @@ def run(config: SuiteConfig) -> dict:
     entries = []
     for name in sorted(names):
         try:
-            entries.extend(SUITE_TABLE[name][0](config))
+            suite_entries = SUITE_TABLE[name][0](config)
+            for entry in suite_entries:
+                for key, value in entry.items():
+                    values = value if isinstance(value, list) else [value]
+                    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+                        raise ValueError(f"non-finite {key} in entry {entry['name']}")
+            entries.extend(suite_entries)
         # The library raises ValueError for inputs it cannot evaluate, such
         # as a == b, which leaves no room for a finite-difference step.
         except (LoewnerkitError, ValueError) as exc:
@@ -565,7 +575,7 @@ def _emit(obj, out):
 def _run_trace(args) -> int:
     try:
         z = complex(float(args.z_re), float(args.z_im))
-        ode = OdeConfig(args.step) if args.step else OdeConfig()
+        ode = OdeConfig(args.step) if args.step is not None else OdeConfig()
         if args.flow == "koebe":
             flow = RadialFlowSpec.koebe(args.a, args.b, backend=args.backend, ode=ode)
             require_disk(z)
@@ -574,11 +584,11 @@ def _run_trace(args) -> int:
             require_halfplane(z)
         if args.n < 2:
             raise ConfigError("n must be at least 2")
-    except (ValueError, LoewnerkitError) as exc:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except (OSError, ValueError, LoewnerkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out = open(args.out, "w") if args.out else sys.stdout
     code = 0
     try:
         print("t,re,im", file=out)
@@ -655,17 +665,17 @@ def _run_suites(args) -> int:
 
     try:
         config = validate_config(raw)
-    except ConfigError as exc:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report = run(config)
-    text = dumps_report(report)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    try:
+        report = run(config)
+        print(dumps_report(report), file=out)
+    finally:
+        if args.out:
+            out.close()
     return 0 if report["overall_pass"] else 3
 
 

@@ -1,7 +1,6 @@
 """Quadrature verification of the integral-resolution theorems and
 construction of explicit reproducing-kernel space elements."""
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -9,7 +8,7 @@ import numpy as np
 
 from .errors import BranchCutError
 from .flows import ChordalFlowSpec, RadialFlowSpec, chordal_transition, radial_transition
-from .kernels import DbrDiskKernel, LoewnerTimeKernel, PickSpaceKernel, gram, membership_test
+from .kernels import DbrDiskKernel, LoewnerTimeKernel, PaleyWienerKernel, PickSpaceKernel, gram, membership_test
 from .moebius import cayley_to_disk, cayley_to_halfplane, require_disk, require_halfplane
 from .representations import AtomicMeasure, PickRepresentation, herglotz_eval, pick_eval
 from .sampling import membership_halfplane_sets
@@ -77,6 +76,8 @@ def flow_rule(flow, nodes_per_segment: int = 64, kind: str = GAUSS_LEGENDRE) -> 
         lo, hi, driver = flow.r, flow.s, flow.driver or ()
     else:
         raise TypeError(f"unsupported flow spec {type(flow).__name__}")
+    if kind not in (GAUSS_LEGENDRE, COMPOSITE_SIMPSON):
+        raise ValueError(f"unknown quadrature kind {kind!r}")
     breaks = sorted({lo, hi} | {bp for bp, _ in driver if lo < bp < hi})
     make = gauss_legendre if kind == GAUSS_LEGENDRE else composite_simpson
     pieces = [make(nodes_per_segment, s0, s1) for s0, s1 in zip(breaks, breaks[1:])] or [make(nodes_per_segment, lo, hi)]
@@ -96,40 +97,37 @@ class IdentityReport:
     passed: bool
 
 
-def _report(name: str, pairs: int, err: float, tol: float) -> IdentityReport:
-    return IdentityReport(name, pairs, float(err), float(tol), bool(err <= tol))
+def _report(name: str, pairs: int, errors, tol: float) -> IdentityReport:
+    err = float(np.max(errors, initial=0.0))
+    return IdentityReport(name, pairs, err, float(tol), bool(err <= tol))
 
 
-def integrated_kernel(b_family, base_kernel, rule: QuadratureRule, lam: complex, z: complex) -> complex:
-    """Quadrature of conj(B(x, lam)) B(x, z) k(x, z, lam) over the rule:
-    the reproducing kernel of the range space of the integral operator
-    f -> integral of B(x, z) f(x, z)."""
-    acc = 0.0 + 0.0j
-    for x, w in zip(rule.nodes, rule.weights):
-        acc += w * b_family(x, lam).conjugate() * b_family(x, z) * base_kernel(x, z, lam)
-    return acc
+def _columns(point_pairs):
+    """The first and the second points of the pairs, as two complex arrays."""
+    pairs = np.asarray(point_pairs, dtype=complex).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _integral(rule: QuadratureRule, table):
+    """Quadrature over the rule of a (node, point) table, one value per point."""
+    return np.sum(rule.weights[:, None] * table, axis=0)
 
 
 def resolution_check(flow: RadialFlowSpec, rule: QuadratureRule, point_pairs, tol: float = 1e-8) -> IdentityReport:
     """Continuous resolution of the de Branges-Rovnyak kernel along a radial
     flow: 1 + integral of conj(B_t(lam)) B_t(mu) k(t, mu, lam) dt equals
-    (1 - conj(B_b(lam)) B_b(mu)) / (1 - conj(lam) mu)."""
-
-    def b_family(t, z):
-        return radial_transition(flow, t, z)
-
-    def base_kernel(t, z, w):
-        return LoewnerTimeKernel(flow, t)(z, w)
-
-    max_err = 0.0
-    for lam, mu in point_pairs:
-        lam, mu = require_disk(lam), require_disk(mu)
-        lhs = 1.0 + integrated_kernel(b_family, base_kernel, rule, lam, mu)
-        b_lam = radial_transition(flow, flow.b, lam)
-        b_mu = radial_transition(flow, flow.b, mu)
-        rhs = (1.0 - b_lam.conjugate() * b_mu) / (1.0 - lam.conjugate() * mu)
-        max_err = max(max_err, abs(lhs - rhs))
-    return _report("resolution", len(point_pairs), max_err, tol)
+    (1 - conj(B_b(lam)) B_b(mu)) / (1 - conj(lam) mu), where k(t, ., .) is
+    the time-t kernel of ``LoewnerTimeKernel``."""
+    lam, mu = (require_disk(c) for c in _columns(point_pairs))
+    nodes = rule.nodes[:, None]
+    b_lam, b_mu = radial_transition(flow, nodes, lam), radial_transition(flow, nodes, mu)
+    measures = [flow.driver_measure(t) for t in rule.nodes]
+    phi_lam, phi_mu = (np.array([herglotz_eval(m, row) for m, row in zip(measures, b)]) for b in (b_lam, b_mu))
+    denom = 1.0 - lam.conjugate() * mu
+    lhs = 1.0 + _integral(rule, b_lam.conjugate() * b_mu * (phi_lam.conjugate() + phi_mu) / denom)
+    end_lam, end_mu = radial_transition(flow, flow.b, lam), radial_transition(flow, flow.b, mu)
+    rhs = (1.0 - end_lam.conjugate() * end_mu) / denom
+    return _report("resolution", len(point_pairs), np.abs(lhs - rhs), tol)
 
 
 def radial_derivative_identity_check(flow: RadialFlowSpec, t: float, lam: complex, z: complex, h: float = 1e-4, tol: float = 1e-5) -> IdentityReport:
@@ -186,22 +184,22 @@ def dbr_element(flow: RadialFlowSpec, h, lam: complex, rule: QuadratureRule):
 
         F(z) = integral of B_t(z) * (1 - conj(B_t(lam)) B_t(z)) / (1 - conj(lam) z)
                * h(t) / ((1 + conj(B_t(lam))) (1 + B_t(z))) dt.
+
+    The element takes z as a scalar or a numpy array.
     """
     lam = require_disk(lam)
     h_fn = h if callable(h) else (lambda _t, _v=float(h): _v)
-    nodes = list(rule.nodes)
-    weights = list(rule.weights)
-    b_lam = [radial_transition(flow, t, lam) for t in nodes]
-    h_vals = [float(h_fn(t)) for t in nodes]
+    nodes = rule.nodes[:, None]
+    b_lam = radial_transition(flow, nodes, lam).conjugate()
+    h_vals = np.array([float(h_fn(t)) for t in rule.nodes])[:, None]
 
-    def element(z: complex) -> complex:
+    def element(z):
         z = require_disk(z)
-        denom = 1.0 - lam.conjugate() * z
-        acc = 0.0 + 0.0j
-        for w, t, bl, hv in zip(weights, nodes, b_lam, h_vals):
-            bz = radial_transition(flow, t, z)
-            acc += w * bz * ((1.0 - bl.conjugate() * bz) / denom) * (hv / ((1.0 + bl.conjugate()) * (1.0 + bz)))
-        return acc
+        flat = np.reshape(z, -1)
+        bz = radial_transition(flow, nodes, flat)
+        denom = 1.0 - lam.conjugate() * flat
+        table = bz * ((1.0 - b_lam * bz) / denom) * (h_vals / ((1.0 + b_lam) * (1.0 + bz)))
+        return np.reshape(_integral(rule, table), np.shape(z))[()]
 
     return element
 
@@ -209,18 +207,18 @@ def dbr_element(flow: RadialFlowSpec, h, lam: complex, rule: QuadratureRule):
 def koebe_log_element_check(flow: RadialFlowSpec, rule: QuadratureRule, points, tol: float = 1e-8) -> IdentityReport:
     """The h = 1, lam = 0 element of the Koebe flow equals
     log((1 - B_b(z)) / (1 - z)) (principal branch, positivity-guarded)."""
+    pts = require_disk(np.reshape(points, -1))
+    b_end = radial_transition(flow, flow.b, pts)
+    off_branch = ((1.0 - b_end).real <= 0.0) | ((1.0 - pts).real <= 0.0)
+    if off_branch.any():
+        i = int(np.argmax(off_branch))
+        raise BranchCutError(
+            f"log argument off the principal branch at z = {complex(pts[i])}: "
+            f"1 - B_b(z) = {complex(1.0 - b_end[i])}, 1 - z = {complex(1.0 - pts[i])}"
+        )
+    closed = np.log((1.0 - b_end) / (1.0 - pts))
     element = dbr_element(flow, 1.0, 0.0, rule)
-    max_err = 0.0
-    for z in points:
-        z = require_disk(z)
-        b_end = radial_transition(flow, flow.b, z)
-        if (1.0 - b_end).real <= 0.0 or (1.0 - z).real <= 0.0:
-            raise BranchCutError(
-                f"log argument off the principal branch at z = {z}: 1 - B_b(z) = {1.0 - b_end}, 1 - z = {1.0 - z}"
-            )
-        closed = cmath.log((1.0 - b_end) / (1.0 - z))
-        max_err = max(max_err, abs(element(z) - closed))
-    return _report("koebe-log", len(points), max_err, tol)
+    return _report("koebe-log", len(points), np.abs(element(pts) - closed), tol)
 
 
 def cayley_isometry_check(psi, point_pairs, gram_points=None, tol: float = 1e-10) -> IdentityReport:
@@ -235,50 +233,42 @@ def cayley_isometry_check(psi, point_pairs, gram_points=None, tol: float = 1e-10
 
     pointwise, and the matching Gram identity: scaling the Pick Gram of the
     mapped kernel columns reproduces the de Branges-Rovnyak Gram of psi.
+    ``psi`` is evaluated on numpy arrays of points.
     """
 
     def phi(w):
         return cayley_to_halfplane(psi(cayley_to_disk(w)))
 
-    def scale(p):
-        v = psi(p)
-        if abs(1.0 - v) <= 1e-12:
-            raise ValueError(f"psi({p}) = 1 degeneracy")
-        return (1.0 - v.conjugate()) / (1.0 - p.conjugate())
-
-    max_err = 0.0
-    for lam, mu in point_pairs:
-        lam, mu = require_disk(lam), require_disk(mu)
-        alpha, beta = cayley_to_halfplane(lam), cayley_to_halfplane(mu)
-        psi_lam, psi_mu = psi(lam), psi(mu)
-        if abs(1.0 - psi_lam) <= 1e-12 or abs(1.0 - psi_mu) <= 1e-12:
-            raise ValueError("psi value 1 degeneracy in point pair")
-        lhs = (phi(beta) - phi(alpha).conjugate()) / (beta - alpha.conjugate())
-        rhs = (
-            (1.0 - lam.conjugate())
-            / (1.0 - psi_lam.conjugate())
-            * (1.0 - mu)
-            / (1.0 - psi_mu)
-            * (1.0 - psi_lam.conjugate() * psi_mu)
-            / (1.0 - lam.conjugate() * mu)
-        )
-        max_err = max(max_err, abs(lhs - rhs))
+    lam, mu = (require_disk(c) for c in _columns(point_pairs))
+    alpha, beta = cayley_to_halfplane(lam), cayley_to_halfplane(mu)
+    psi_lam, psi_mu = psi(lam), psi(mu)
+    if np.any(np.abs(1.0 - psi_lam) <= 1e-12) or np.any(np.abs(1.0 - psi_mu) <= 1e-12):
+        raise ValueError("psi value 1 degeneracy in point pair")
+    lhs = (phi(beta) - phi(alpha).conjugate()) / (beta - alpha.conjugate())
+    rhs = (
+        (1.0 - lam.conjugate())
+        / (1.0 - psi_lam.conjugate())
+        * (1.0 - mu)
+        / (1.0 - psi_mu)
+        * (1.0 - psi_lam.conjugate() * psi_mu)
+        / (1.0 - lam.conjugate() * mu)
+    )
+    pair_err = np.max(np.abs(lhs - rhs), initial=0.0)
 
     if gram_points is None:
-        seen = []
-        for pair in point_pairs:
-            for p in pair:
-                if all(abs(p - q) > 1e-12 for q in seen):
-                    seen.append(complex(p))
-        gram_points = seen[:6]
-    pts = [require_disk(p) for p in gram_points]
+        pts = np.asarray(point_pairs, dtype=complex).ravel()
+        repeated = np.triu(np.abs(pts[:, None] - pts[None, :]) <= 1e-12, 1).any(axis=0)
+        gram_points = pts[~repeated][:6]
+    pts = require_disk(np.reshape(gram_points, -1))
+    psi_pts = psi(pts)
+    if np.any(np.abs(1.0 - psi_pts) <= 1e-12):
+        raise ValueError("psi value 1 degeneracy at a Gram point")
     dbr = gram(DbrDiskKernel(psi), pts).matrix
-    pick = gram(PickSpaceKernel(phi), [cayley_to_halfplane(p) for p in pts]).matrix
-    c = np.array([scale(p) for p in pts])
+    pick = gram(PickSpaceKernel(phi), cayley_to_halfplane(pts)).matrix
+    c = (1.0 - psi_pts.conjugate()) / (1.0 - pts.conjugate())
     mapped = np.conj(c)[:, None] * pick * c[None, :]
-    gram_err = float(np.max(np.abs(mapped - dbr))) if pts else 0.0
-    max_err = max(max_err, gram_err)
-    return _report("cayley-isometry", len(point_pairs), max_err, tol)
+    gram_err = np.max(np.abs(mapped - dbr), initial=0.0)
+    return _report("cayley-isometry", len(point_pairs), [pair_err, gram_err], tol)
 
 
 def pick_constant_element(psi, rep: PickRepresentation):
@@ -288,7 +278,7 @@ def pick_constant_element(psi, rep: PickRepresentation):
     if rep.c == 0.0:
         raise ValueError("requires a representation with c != 0")
 
-    def element(z: complex) -> complex:
+    def element(z):
         z = require_disk(z)
         return (1.0 - psi(z)) / (1.0 - z)
 
@@ -298,35 +288,24 @@ def pick_constant_element(psi, rep: PickRepresentation):
 def nevanlinna_split_check(rep: PickRepresentation, point_pairs, tol: float = 1e-12) -> IdentityReport:
     """The Pick kernel of a Nevanlinna representation splits as
     c + (1/pi) sum of w_t / ((t - conj(w)) (t - z)); exact for atoms."""
-    max_err = 0.0
-    for z, w in point_pairs:
-        z, w = require_halfplane(z), require_halfplane(w)
-        lhs = (pick_eval(rep, z) - pick_eval(rep, w).conjugate()) / (z - w.conjugate())
-        acc = 0.0 + 0.0j
-        for t, wt in rep.mu.atoms:
-            t = t.real
-            acc += wt / ((t - w.conjugate()) * (t - z))
-        rhs = rep.c + acc / math.pi
-        max_err = max(max_err, abs(lhs - rhs))
-    return _report("nevanlinna-split", len(point_pairs), max_err, tol)
+    z, w = (require_halfplane(c) for c in _columns(point_pairs))
+    lhs = (pick_eval(rep, z) - pick_eval(rep, w).conjugate()) / (z - w.conjugate())
+    acc = sum(wt / ((t.real - w.conjugate()) * (t.real - z)) for t, wt in rep.mu.atoms)
+    rhs = rep.c + acc / math.pi
+    return _report("nevanlinna-split", len(point_pairs), np.abs(lhs - rhs), tol)
 
 
 def chordal_exp_kernel_check(flow: ChordalFlowSpec, rule: QuadratureRule, point_pairs, tol: float = 1e-8) -> IdentityReport:
     """Exponential kernel of the basic slit flow:
     exp(integral of dt / (conj(B_t(alpha)) B_t(z))) equals
     (B_b(z) - conj(B_b(alpha))) / (z - conj(alpha))."""
-    max_err = 0.0
-    for alpha, z in point_pairs:
-        alpha, z = require_halfplane(alpha), require_halfplane(z)
-        acc = 0.0 + 0.0j
-        for t, w in zip(rule.nodes, rule.weights):
-            acc += w / (chordal_transition(flow, t, alpha).conjugate() * chordal_transition(flow, t, z))
-        lhs = cmath.exp(acc)
-        b_alpha = chordal_transition(flow, flow.s, alpha)
-        b_z = chordal_transition(flow, flow.s, z)
-        rhs = (b_z - b_alpha.conjugate()) / (z - alpha.conjugate())
-        max_err = max(max_err, abs(lhs - rhs))
-    return _report("chordal-exp-kernel", len(point_pairs), max_err, tol)
+    alpha, z = (require_halfplane(c) for c in _columns(point_pairs))
+    nodes = rule.nodes[:, None]
+    b_alpha, b_z = chordal_transition(flow, nodes, alpha), chordal_transition(flow, nodes, z)
+    lhs = np.exp(_integral(rule, 1.0 / (b_alpha.conjugate() * b_z)))
+    end_alpha, end_z = chordal_transition(flow, flow.s, alpha), chordal_transition(flow, flow.s, z)
+    rhs = (end_z - end_alpha.conjugate()) / (z - alpha.conjugate())
+    return _report("chordal-exp-kernel", len(point_pairs), np.abs(lhs - rhs), tol)
 
 
 def chordal_exp_element_check(
@@ -344,22 +323,16 @@ def chordal_exp_element_check(
 
     Returns (IdentityReport, MembershipReport).
     """
-    max_err = 0.0
-    for z in points:
-        z = require_halfplane(z)
-        acc = 0.0 + 0.0j
-        for t, w in zip(rule.nodes, rule.weights):
-            acc += w / chordal_transition(flow, t, z)
-        lhs = cmath.exp(acc)
-        rhs = cmath.exp(z - chordal_transition(flow, flow.s, z))
-        max_err = max(max_err, abs(lhs - rhs))
-    report = _report("chordal-exp-element", len(points), max_err, tol)
 
     def b_end(z):
         return chordal_transition(flow, flow.s, z)
 
     def candidate(z):
-        return cmath.exp(z - b_end(z))
+        return np.exp(z - b_end(z))
+
+    pts = require_halfplane(np.reshape(points, -1))
+    lhs = np.exp(_integral(rule, 1.0 / chordal_transition(flow, rule.nodes[:, None], pts)))
+    report = _report("chordal-exp-element", len(points), np.abs(lhs - candidate(pts)), tol)
 
     if nested_sets is None:
         nested_sets = membership_halfplane_sets((16, 32, 64, 128), seed)
@@ -372,36 +345,24 @@ def herglotz_mixture_check(mu: AtomicMeasure, point_pairs, tol: float = 1e-12) -
     the Herglotz kernel of the mixture; exact for atomic measures."""
     if not (mu.on_unit_circle() and mu.is_probability()):
         raise ValueError("mu must be a probability measure on the unit circle")
-    max_err = 0.0
-    for z, lam in point_pairs:
-        z, lam = require_disk(z), require_disk(lam)
-        denom = 1.0 - lam.conjugate() * z
-        acc = 0.0 + 0.0j
-        for xi, w in mu.atoms:
-            phi_z = (1.0 + xi * z) / (1.0 - xi * z)
-            phi_lam = (1.0 + xi * lam) / (1.0 - xi * lam)
-            acc += w * (phi_lam.conjugate() + phi_z) / denom
-        phi_mu_z = herglotz_eval(mu, z)
-        phi_mu_lam = herglotz_eval(mu, lam)
-        rhs = (phi_mu_lam.conjugate() + phi_mu_z) / denom
-        max_err = max(max_err, abs(acc - rhs))
-    return _report("herglotz-mixture", len(point_pairs), max_err, tol)
+    z, lam = (require_disk(c) for c in _columns(point_pairs))
+    denom = 1.0 - lam.conjugate() * z
+    acc = 0.0
+    for xi, w in mu.atoms:
+        phi_z = (1.0 + xi * z) / (1.0 - xi * z)
+        phi_lam = (1.0 + xi * lam) / (1.0 - xi * lam)
+        acc += w * (phi_lam.conjugate() + phi_z) / denom
+    rhs = (herglotz_eval(mu, lam).conjugate() + herglotz_eval(mu, z)) / denom
+    return _report("herglotz-mixture", len(point_pairs), np.abs(acc - rhs), tol)
 
 
 def paley_wiener_reconstruction_check(bandwidth: float, rule: QuadratureRule, point_pairs, tol: float = 1e-10) -> IdentityReport:
-    """Time-limited Fourier quadrature over [-A, A] reproduces the sinc
-    kernel sin(2 pi A (z - conj(lam))) / (pi (z - conj(lam)))."""
-    from .kernels import PaleyWienerKernel
-
+    """Time-limited Fourier quadrature over [-A, A] of
+    conj(exp(-2 pi i lam t)) exp(-2 pi i z t) reproduces the sinc kernel
+    sin(2 pi A (z - conj(lam))) / (pi (z - conj(lam)))."""
     if abs(rule.a + bandwidth) > 1e-12 or abs(rule.b - bandwidth) > 1e-12:
         raise ValueError("rule must cover [-A, A]")
-    kernel = PaleyWienerKernel(bandwidth)
-
-    def b_family(t, z):
-        return cmath.exp(-2j * math.pi * z * t)
-
-    max_err = 0.0
-    for lam, z in point_pairs:
-        lhs = integrated_kernel(b_family, lambda _t, _z, _w: 1.0, rule, lam, z)
-        max_err = max(max_err, abs(lhs - kernel(z, lam)))
-    return _report("pw-reconstruction", len(point_pairs), max_err, tol)
+    lam, z = _columns(point_pairs)
+    nodes = rule.nodes[:, None]
+    lhs = _integral(rule, np.exp(-2j * math.pi * lam * nodes).conjugate() * np.exp(-2j * math.pi * z * nodes))
+    return _report("pw-reconstruction", len(point_pairs), np.abs(lhs - PaleyWienerKernel(bandwidth)(z, lam)), tol)

@@ -5,11 +5,15 @@ disk, basic slit map on the half-plane) or by fixed-step classical RK4
 integration of the corresponding Loewner ODE.  Drivers are piecewise
 constant in time; RK4 steps are adjusted per driver segment so segment
 breakpoints always coincide with step boundaries.
+
+Transition maps take times and points as scalars or numpy arrays that
+broadcast together; a scalar is the 0-d case.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DomainError, FlowEscapeError
 from .moebius import require_disk, require_halfplane
@@ -142,26 +146,26 @@ class ChordalFlowSpec:
         return cls(r, s, None, backend, ode or OdeConfig())
 
 
-def koebe_eval(t: float, z: complex) -> complex:
+def koebe_eval(t, z):
     """Koebe function e^t z / (1 - z)^2 at z in D."""
     z = require_disk(z)
-    return math.exp(float(t)) * z / (1.0 - z) ** 2
+    return np.exp(t) * z / (1.0 - z) ** 2
 
 
-def sqrt_halfplane(w: complex) -> complex:
+def sqrt_halfplane(w):
     """Square root branch mapping into the upper half-plane: i * principal_sqrt(-w).
 
     Continuous along the slit flow because z^2 - 2*tau never lies on
     [0, inf) for z in H and tau >= 0, keeping -w off the principal cut.
     """
-    return 1j * cmath.sqrt(-complex(w))
+    return 1j * np.sqrt(-np.asarray(w, dtype=complex))
 
 
-def _koebe_inverse(u: complex) -> complex:
+def _koebe_inverse(u):
     # Rationalized inverse of B/(1-B)^2 = u; picks the branch with B(0) = 0
     # and avoids catastrophic cancellation near u = 0.  The Koebe image
     # omits (-inf, -1/4], so 1 + 4u stays off the principal cut.
-    return 2.0 * u / (1.0 + 2.0 * u + cmath.sqrt(1.0 + 4.0 * u))
+    return 2.0 * u / (1.0 + 2.0 * u + np.sqrt(1.0 + 4.0 * u))
 
 
 def _rk4_step(y: complex, h: float, f) -> complex:
@@ -201,64 +205,69 @@ def _chordal_field(mu: AtomicMeasure):
     return f
 
 
-def _integrate(z, segments, field_of, step, escaped, what):
-    y = z
-    for lo, hi, mu in segments:
-        f = field_of(mu)
-        n = max(1, math.ceil((hi - lo) / step - _TIME_SLACK))
-        h = (hi - lo) / n
-        for _ in range(n):
-            try:
-                y = _rk4_step(y, h, f)
-            except ZeroDivisionError:
-                raise FlowEscapeError(f"{what} trajectory from {z} hit a driver pole") from None
-            if escaped(y):
-                raise FlowEscapeError(f"{what} trajectory from {z} left the domain near {y}")
-    return y
+def _left_disk(y: complex) -> bool:
+    return abs(y) >= 1.0 - RADIAL_ESCAPE_MARGIN
 
 
-def radial_transition(spec: RadialFlowSpec, t: float, z: complex) -> complex:
-    """Transition map B_{a t}(z) of a radial flow, for t in [a, b] and z in D."""
-    t = float(t)
-    if not (spec.a - _TIME_SLACK <= t <= spec.b + _TIME_SLACK):
-        raise DomainError(f"t = {t} outside flow interval [{spec.a}, {spec.b}]")
-    t = min(max(t, spec.a), spec.b)
+def _left_halfplane(y: complex) -> bool:
+    return y.imag <= CHORDAL_ESCAPE_MARGIN
+
+
+def _integrate(times, points, start, driver, field_of, step, escaped, what):
+    # One trajectory per broadcast (time, point) pair, stepped on Python
+    # float and complex: they are faster per step than numpy scalars, and a
+    # driver pole raises ZeroDivisionError instead of yielding inf or nan.
+    times, points = np.broadcast_arrays(times, points)
+    out = np.empty(points.shape, dtype=complex)
+    for i, (t, z) in enumerate(zip(times.flat, points.flat)):
+        y = z = complex(z)
+        for lo, hi, mu in _segments(driver, start, float(t)):
+            f = field_of(mu)
+            n = max(1, math.ceil((hi - lo) / step - _TIME_SLACK))
+            h = (hi - lo) / n
+            for _ in range(n):
+                try:
+                    y = _rk4_step(y, h, f)
+                except ZeroDivisionError:
+                    raise FlowEscapeError(f"{what} trajectory from {z} hit a driver pole") from None
+                if escaped(y):
+                    raise FlowEscapeError(f"{what} trajectory from {z} left the domain near {y}")
+        out.flat[i] = y
+    return out[()]
+
+
+def _flow_times(t, lo: float, hi: float, name: str):
+    """Times as a float array clamped to [lo, hi]; DomainError names the
+    first time outside the flow interval."""
+    t = np.asarray(t, dtype=float)
+    inside = (lo - _TIME_SLACK <= t) & (t <= hi + _TIME_SLACK)
+    if not inside.all():
+        raise DomainError(f"{name} = {float(t[~inside].flat[0])} outside flow interval [{lo}, {hi}]")
+    return np.clip(t, lo, hi)
+
+
+def radial_transition(spec: RadialFlowSpec, t, z):
+    """Transition map B_{a t}(z) of a radial flow, for t in [a, b] and z in D.
+
+    ``t`` and ``z`` are scalars or numpy arrays that broadcast together."""
+    t = _flow_times(t, spec.a, spec.b, "t")
     z = require_disk(z)
-    if t <= spec.a:
-        return z
     if spec.backend == CLOSED_FORM:
-        u = math.exp(spec.a - t) * z / (1.0 - z) ** 2
-        return _koebe_inverse(u)
-    return _integrate(
-        z,
-        _segments(spec.driver, spec.a, t),
-        _herglotz_field,
-        spec.ode.step,
-        lambda y: abs(y) >= 1.0 - RADIAL_ESCAPE_MARGIN,
-        "radial",
-    )
+        u = np.exp(spec.a - t) * z / (1.0 - z) ** 2
+        return np.where(t <= spec.a, z, _koebe_inverse(u))[()]
+    return _integrate(t, z, spec.a, spec.driver, _herglotz_field, spec.ode.step, _left_disk, "radial")
 
 
-def chordal_transition(spec: ChordalFlowSpec, s: float, z: complex) -> complex:
-    """Transition map B_{r s}(z) of a chordal flow, for s in [r, s_max] and z in H."""
-    s = float(s)
-    if not (spec.r - _TIME_SLACK <= s <= spec.s + _TIME_SLACK):
-        raise DomainError(f"s = {s} outside flow interval [{spec.r}, {spec.s}]")
-    s = min(max(s, spec.r), spec.s)
+def chordal_transition(spec: ChordalFlowSpec, s, z):
+    """Transition map B_{r s}(z) of a chordal flow, for s in [r, s_max] and z in H.
+
+    ``s`` and ``z`` are scalars or numpy arrays that broadcast together."""
+    s = _flow_times(s, spec.r, spec.s, "s")
     z = require_halfplane(z)
-    if s <= spec.r:
-        return z
     if spec.backend == CLOSED_FORM:
-        return sqrt_halfplane(z * z - 2.0 * (s - spec.r))
+        return np.where(s <= spec.r, z, sqrt_halfplane(z * z - 2.0 * (s - spec.r)))[()]
     driver = spec.driver if spec.driver is not None else ((spec.r, AtomicMeasure.dirac(0.0)),)
-    return _integrate(
-        z,
-        _segments(driver, spec.r, s),
-        _chordal_field,
-        spec.ode.step,
-        lambda y: y.imag <= CHORDAL_ESCAPE_MARGIN,
-        "chordal",
-    )
+    return _integrate(s, z, spec.r, driver, _chordal_field, spec.ode.step, _left_halfplane, "chordal")
 
 
 def iter_flow_trace(spec, z: complex, n_samples: int):

@@ -3,52 +3,57 @@
 All downstream kernels are defined on open domains only, so membership
 predicates keep a strict margin of ``BOUNDARY_MARGIN`` from the boundary
 and boundary inputs are rejected rather than mapped.
+
+Every function takes a scalar or a numpy array of points and works
+elementwise; a scalar is the 0-d case and comes back as a numpy scalar.
 """
 
-import math
+import numpy as np
 
 from .errors import DomainError
 
 BOUNDARY_MARGIN = 1e-12
 
 
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
+def in_disk(z, margin: float = BOUNDARY_MARGIN):
+    """True where z is a finite point with |z| < 1 - margin."""
+    z = np.asarray(z, dtype=complex)
+    return np.isfinite(z) & (np.abs(z) < 1.0 - margin)
 
 
-def in_disk(z: complex, margin: float = BOUNDARY_MARGIN) -> bool:
-    """True if z is a finite point with |z| < 1 - margin."""
-    z = complex(z)
-    return _finite(z) and abs(z) < 1.0 - margin
+def in_halfplane(w, margin: float = BOUNDARY_MARGIN):
+    """True where w is a finite point with Im w > margin."""
+    w = np.asarray(w, dtype=complex)
+    return np.isfinite(w) & (w.imag > margin)
 
 
-def in_halfplane(w: complex, margin: float = BOUNDARY_MARGIN) -> bool:
-    """True if w is a finite point with Im w > margin."""
-    w = complex(w)
-    return _finite(w) and w.imag > margin
+def _require(points, inside, name: str, domain: str):
+    points = np.asarray(points, dtype=complex)
+    ok = inside(points)
+    if not ok.all():
+        raise DomainError(f"{name} = {complex(points[~ok].flat[0])} is not inside the open {domain}")
+    return points[()]
 
 
-def require_disk(z: complex, name: str = "z") -> complex:
-    z = complex(z)
-    if not in_disk(z):
-        raise DomainError(f"{name} = {z} is not inside the open unit disk")
-    return z
+def require_disk(z, name: str = "z"):
+    """z as a complex array (numpy scalar when 0-d); DomainError names the
+    first point outside the open unit disk."""
+    return _require(z, in_disk, name, "unit disk")
 
 
-def require_halfplane(w: complex, name: str = "w") -> complex:
-    w = complex(w)
-    if not in_halfplane(w):
-        raise DomainError(f"{name} = {w} is not inside the open upper half-plane")
-    return w
+def require_halfplane(w, name: str = "w"):
+    """w as a complex array (numpy scalar when 0-d); DomainError names the
+    first point outside the open upper half-plane."""
+    return _require(w, in_halfplane, name, "upper half-plane")
 
 
-def cayley_to_halfplane(z: complex) -> complex:
+def cayley_to_halfplane(z):
     """Map the unit disk onto the upper half-plane via T(z) = i(1+z)/(1-z)."""
     z = require_disk(z)
     return 1j * (1.0 + z) / (1.0 - z)
 
 
-def cayley_to_disk(w: complex) -> complex:
+def cayley_to_disk(w):
     """Map the upper half-plane onto the unit disk via T^{-1}(w) = (w-i)/(w+i)."""
     w = require_halfplane(w)
     return (w - 1j) / (w + 1j)

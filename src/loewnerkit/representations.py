@@ -3,6 +3,9 @@
 Measures are finite atomic lists only; a continuous measure must be
 pre-discretized by the caller (e.g. quadrature atoms).  Every identity
 verified downstream is exact for atoms.
+
+The evaluation functions take z as a scalar or a numpy array and work
+elementwise; a scalar is the 0-d case.
 """
 
 import math
@@ -93,14 +96,14 @@ def _require_unit_modulus(xi: complex) -> complex:
     return xi
 
 
-def herglotz_atom(xi: complex, z: complex) -> complex:
+def herglotz_atom(xi: complex, z):
     """Elementary Herglotz function (1 + xi z)/(1 - xi z) for |xi| = 1, z in D."""
     xi = _require_unit_modulus(xi)
     z = require_disk(z)
     return (1.0 + xi * z) / (1.0 - xi * z)
 
 
-def herglotz_eval(mu: AtomicMeasure, z: complex) -> complex:
+def herglotz_eval(mu: AtomicMeasure, z):
     """Herglotz function of a probability measure on the circle, at z in D."""
     if not mu.on_unit_circle():
         raise ValueError("mu must be supported on the unit circle")
@@ -110,7 +113,7 @@ def herglotz_eval(mu: AtomicMeasure, z: complex) -> complex:
     return sum(w * (1.0 + xi * z) / (1.0 - xi * z) for xi, w in mu.atoms)
 
 
-def pick_atom(xi: float, z: complex) -> complex:
+def pick_atom(xi: float, z):
     """Elementary Pick function 1/(xi - z) for real xi, z in H."""
     xi = float(xi)
     if not math.isfinite(xi):
@@ -119,7 +122,7 @@ def pick_atom(xi: float, z: complex) -> complex:
     return 1.0 / (xi - z)
 
 
-def pick_eval(rep: PickRepresentation, z: complex) -> complex:
+def pick_eval(rep: PickRepresentation, z):
     """Pick function from its Nevanlinna representation, at z in H."""
     z = require_halfplane(z)
     acc = 0.0 + 0.0j

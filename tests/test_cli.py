@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loewnerkit
@@ -114,6 +117,59 @@ def test_validate_config_accepts_or_raises_config_error(raw):
     except ConfigError:
         return
     assert isinstance(cfg, SuiteConfig)
+
+
+NON_FINITE_CONFIG = {"suite": "nevanlinna-split", "pick_rep": {"b": 0, "c": 1e308, "atoms": []}}
+
+_ANGLE_ATOMS = st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(0.01, 1.0)), min_size=1, max_size=3).map(
+    lambda atoms: [[math.cos(a), math.sin(a), w / sum(v for _, v in atoms)] for a, w in atoms]
+)
+_RUN_CONFIG = st.fixed_dictionaries(
+    {"suite": st.sampled_from(("nevanlinna-split", "herglotz-mixture", "pw-reconstruction", "cayley-isometry"))},
+    optional={
+        "seed": st.integers(0, 2**40),
+        "nodes": st.integers(1, 16),
+        "a": st.floats(),
+        "b": st.floats(),
+        "pick_rep": st.fixed_dictionaries(
+            {
+                "b": st.floats(),
+                "c": st.floats(),
+                "atoms": st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=3),
+            }
+        ),
+        "herglotz_atoms": _ANGLE_ATOMS | st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=1, max_size=3),
+    },
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_RUN_CONFIG)
+@example(NON_FINITE_CONFIG)
+def test_run_exits_0_2_or_3_with_a_json_report(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp, "cfg.json"), Path(tmp, "report.json")
+        cfg.write_text(json.dumps(raw))
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code != 2:
+            assert json.loads(out.read_text())["overall_pass"] is (code == 0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--suite", "nevanlinna-split", "--out", "{missing}/report.json"],
+        ["trace", "--flow", "koebe", "--z-re", "0.3", "--out", "{missing}/trace.csv"],
+        ["trace", "--flow", "koebe", "--backend", "rk4", "--step", "0", "--z-re", "0.3"],
+    ],
+    ids=["run-out-unopenable", "trace-out-unopenable", "trace-step-zero"],
+)
+def test_bad_arguments_exit_2_without_traceback(tmp_path, args):
+    proc = _run_process([arg.format(missing=tmp_path / "missing") for arg in args])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 class TestRun:
@@ -229,6 +285,15 @@ class TestRun:
         if code == 3:
             errors = {e["suite"] for e in json.loads(proc.stdout)["entries"] if e["kind"] == "error"}
             assert errors == {"chordal-derivative", "radial-derivative"}
+
+    def test_non_finite_value_becomes_error_entry(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(NON_FINITE_CONFIG))
+        proc = _run_process(["run", "--config", str(cfg)])
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        (entry,) = json.loads(proc.stdout)["entries"]
+        assert entry["kind"] == "error" and "max_abs_err" in entry["error"]
 
     @pytest.mark.parametrize(
         "text",

@@ -22,7 +22,6 @@ from loewnerkit import (
     flow_rule,
     gauss_legendre,
     herglotz_mixture_check,
-    integrated_kernel,
     koebe_log_element_check,
     nevanlinna_split_check,
     paley_wiener_reconstruction_check,
@@ -83,12 +82,12 @@ class TestQuadrature:
         assert abs(rule.weights.sum() - 1.0) <= 1e-12
         assert not np.any(np.isclose(rule.nodes, 0.4))
 
+    def test_flow_rule_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            flow_rule(KOEBE, 4, "bogus")
+
 
 class TestIntegratedKernel:
-    def test_zero_family_gives_zero(self):
-        value = integrated_kernel(lambda t, z: 0.0, lambda t, z, w: 1.0, RULE, 0.2, 0.5)
-        assert value == 0.0
-
     def test_paley_wiener_case(self):
         rule = gauss_legendre(64, -1.0, 1.0)
         report = paley_wiener_reconstruction_check(1.0, rule, point_pairs(rect_points(20, 3, (-1, 1, -0.3, 0.3))))

@@ -162,6 +162,28 @@ class TestChordal:
             ChordalFlowSpec(0.0, 1.0, ((0.0, AtomicMeasure.dirac(0.0)),), backend=CLOSED_FORM)
 
 
+@pytest.mark.parametrize("backend", [CLOSED_FORM, RUNGE_KUTTA])
+def test_broadcast_tables_match_scalar_calls(backend):
+    cases = (
+        (radial_transition, RadialFlowSpec.koebe(0.0, 1.0, backend=backend), [0.3 - 0.2j, -0.5j, 0.0, 0.6]),
+        (chordal_transition, ChordalFlowSpec.basic_slit(0.0, 1.0, backend=backend), [1j, -1.5 + 0.7j, 0.4 + 2j]),
+    )
+    times = np.array([0.0, 0.25, 1.0])[:, None]
+    for transition, spec, points in cases:
+        table = transition(spec, times, np.array(points)[None, :])
+        assert table.shape == (3, len(points))
+        reference = np.array([[transition(spec, float(t), z) for z in points] for t in times[:, 0]])
+        assert np.max(np.abs(table - reference)) <= 1e-15
+
+
+def test_out_of_domain_point_in_array_raises():
+    spec = RadialFlowSpec.koebe(0.0, 1.0)
+    with pytest.raises(DomainError, match="1.2"):
+        radial_transition(spec, 0.5, np.array([0.1, 1.2, 0.3j]))
+    with pytest.raises(DomainError):
+        radial_transition(spec, np.array([0.5, 1.5]), 0.1)
+
+
 def test_sqrt_halfplane_self_test():
     rng = np.random.RandomState(11)
     for _ in range(1000):

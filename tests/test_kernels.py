@@ -23,6 +23,7 @@ from loewnerkit import (
     radial_transition,
     rkhs_norm_estimate,
 )
+from loewnerkit.errors import DomainError
 from loewnerkit.representations import DIRAC_MINUS_ONE
 from loewnerkit.sampling import (
     disk_pairs,
@@ -76,7 +77,7 @@ class TestKernelEval:
 
     def test_paley_wiener_series_matches_direct_formula(self):
         k = PaleyWienerKernel(0.75)
-        # straddle the series/direct switch-over
+        # near the removable singularity at z = conj(w)
         for d in (1e-6, 1e-5, 3e-5, 1e-4, 1e-3):
             xi = complex(d, d / 3)
             direct = cmath.sin(2 * math.pi * 0.75 * xi) / (math.pi * xi)
@@ -120,6 +121,18 @@ class TestGram:
     def test_pick_identity_gram_all_ones(self):
         g = gram(PickSpaceKernel(lambda z: z), [1j, 2j])
         assert np.max(np.abs(g.matrix - 1.0)) < 1e-15
+
+    @pytest.mark.parametrize("spec,domain", _catalog())
+    def test_matches_per_entry_kernel_calls(self, spec, domain):
+        pts = _points_for(domain, 12, 7)
+        matrix = gram(spec, pts).matrix
+        reference = np.array([[spec(z, w) for w in pts] for z in pts])
+        scale = max(1.0, float(np.max(np.abs(reference))))
+        assert np.max(np.abs(matrix - reference)) <= 1e-13 * scale
+
+    def test_out_of_domain_point_raises_domain_error(self):
+        with pytest.raises(DomainError, match="1.5"):
+            gram(DbrDiskKernel(_koebe_end), [0.1, 1.5, 0.2j])
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
@@ -177,6 +190,7 @@ class TestNormEstimate:
     def test_zero_values_give_zero(self):
         pts = disk_points(10, 4)
         assert rkhs_norm_estimate(DbrDiskKernel(_koebe_end), pts, [0.0] * 10) == 0.0
+        assert rkhs_norm_estimate(DbrDiskKernel(_koebe_end), [], []) == 0.0
 
     def test_reproducing_column_recovers_diagonal(self):
         spec = DbrDiskKernel(_koebe_end)

@@ -3,6 +3,7 @@ import pytest
 
 from loewnerkit import cayley_to_disk, cayley_to_halfplane, in_disk, in_halfplane
 from loewnerkit.errors import DomainError
+from loewnerkit.moebius import require_disk, require_halfplane
 
 
 def test_disk_center_maps_to_i():
@@ -63,3 +64,12 @@ def test_round_trip_and_containment(seed):
 def test_predicates():
     assert in_disk(0.5) and not in_disk(1.0)
     assert in_halfplane(1j) and not in_halfplane(-1j) and not in_halfplane(0.0)
+
+
+def test_one_bad_point_in_an_array_is_named():
+    with pytest.raises(DomainError, match=r"z = \(1\+0j\)"):
+        require_disk(np.array([0.1, 0.5j, 1.0, 2.0]))
+    with pytest.raises(DomainError, match="nan"):
+        require_halfplane(np.array([[1j, 2j], [complex("nan"), 3j]]))
+    points = np.array([[0.1, -0.5j], [0.3 + 0.3j, 0.0]])
+    assert np.max(np.abs(cayley_to_disk(cayley_to_halfplane(points)) - points)) <= 1e-15
