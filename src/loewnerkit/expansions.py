@@ -113,19 +113,27 @@ def _integral(rule: QuadratureRule, table):
     return np.sum(rule.weights[:, None] * table, axis=0)
 
 
+def _node_and_end_table(transition, flow, end: float, rule: QuadratureRule, first, second):
+    """B_t at the rule's nodes and at the end time, for both point columns,
+    from one (nodes + 1) x 2p transition table: returns the two (node,
+    point) tables and the two end rows."""
+    times = np.append(rule.nodes, end)[:, None]
+    table = transition(flow, times, np.concatenate([first, second])[None, :])
+    p = len(first)
+    return (table[:-1, :p], table[:-1, p:]), (table[-1, :p], table[-1, p:])
+
+
 def resolution_check(flow: RadialFlowSpec, rule: QuadratureRule, point_pairs, tol: float = 1e-8) -> IdentityReport:
     """Continuous resolution of the de Branges-Rovnyak kernel along a radial
     flow: 1 + integral of conj(B_t(lam)) B_t(mu) k(t, mu, lam) dt equals
     (1 - conj(B_b(lam)) B_b(mu)) / (1 - conj(lam) mu), where k(t, ., .) is
     the time-t kernel of ``LoewnerTimeKernel``."""
     lam, mu = (require_disk(c) for c in _columns(point_pairs))
-    nodes = rule.nodes[:, None]
-    b_lam, b_mu = radial_transition(flow, nodes, lam), radial_transition(flow, nodes, mu)
+    (b_lam, b_mu), (end_lam, end_mu) = _node_and_end_table(radial_transition, flow, flow.b, rule, lam, mu)
     measures = [flow.driver_measure(t) for t in rule.nodes]
     phi_lam, phi_mu = (np.array([herglotz_eval(m, row) for m, row in zip(measures, b)]) for b in (b_lam, b_mu))
     denom = 1.0 - lam.conjugate() * mu
     lhs = 1.0 + _integral(rule, b_lam.conjugate() * b_mu * (phi_lam.conjugate() + phi_mu) / denom)
-    end_lam, end_mu = radial_transition(flow, flow.b, lam), radial_transition(flow, flow.b, mu)
     rhs = (1.0 - end_lam.conjugate() * end_mu) / denom
     return _report("resolution", len(point_pairs), np.abs(lhs - rhs), tol)
 
@@ -139,14 +147,10 @@ def radial_derivative_identity_check(flow: RadialFlowSpec, t: float, lam: comple
     if t - h < flow.a or t + h > flow.b:
         raise ValueError(f"step h = {h} too large: [t-h, t+h] must stay in [{flow.a}, {flow.b}]")
     lam, z = require_disk(lam), require_disk(z)
-    denom = 1.0 - lam.conjugate() * z
-
-    def quotient(s):
-        return (1.0 - radial_transition(flow, s, lam).conjugate() * radial_transition(flow, s, z)) / denom
-
-    fd = (quotient(t + h) - quotient(t - h)) / (2.0 * h)
-    b_lam = radial_transition(flow, t, lam)
-    b_z = radial_transition(flow, t, z)
+    table = radial_transition(flow, np.array([t - h, t, t + h])[:, None], np.array([lam, z]))
+    quotient = (1.0 - table[:, 0].conjugate() * table[:, 1]) / (1.0 - lam.conjugate() * z)
+    fd = (quotient[2] - quotient[0]) / (2.0 * h)
+    b_lam, b_z = table[1]
     rhs = LoewnerTimeKernel(flow, t)(z, lam) * b_lam.conjugate() * b_z
     rel = abs(fd - rhs) / max(1.0, abs(rhs))
     return _report("radial-derivative", 1, rel, tol)
@@ -165,15 +169,11 @@ def chordal_derivative_identity_check(flow: ChordalFlowSpec, t: float, alpha: co
     if t - h < flow.r or t + h > flow.s:
         raise ValueError(f"step h = {h} too large: [t-h, t+h] must stay in [{flow.r}, {flow.s}]")
     alpha, z = require_halfplane(alpha), require_halfplane(z)
-    denom = z - alpha.conjugate()
-
-    def quotient(s):
-        return (chordal_transition(flow, s, z) - chordal_transition(flow, s, alpha).conjugate()) / denom
-
-    fd = (quotient(t + h) - quotient(t - h)) / (2.0 * h)
-    b_alpha = chordal_transition(flow, t, alpha)
-    b_z = chordal_transition(flow, t, z)
-    rhs = quotient(t) / (b_alpha.conjugate() * b_z)
+    table = chordal_transition(flow, np.array([t - h, t, t + h])[:, None], np.array([alpha, z]))
+    quotient = (table[:, 1] - table[:, 0].conjugate()) / (z - alpha.conjugate())
+    fd = (quotient[2] - quotient[0]) / (2.0 * h)
+    b_alpha, b_z = table[1]
+    rhs = quotient[1] / (b_alpha.conjugate() * b_z)
     rel = abs(fd - rhs) / max(1.0, abs(rhs))
     return _report("chordal-derivative", 1, rel, tol)
 
@@ -300,10 +300,8 @@ def chordal_exp_kernel_check(flow: ChordalFlowSpec, rule: QuadratureRule, point_
     exp(integral of dt / (conj(B_t(alpha)) B_t(z))) equals
     (B_b(z) - conj(B_b(alpha))) / (z - conj(alpha))."""
     alpha, z = (require_halfplane(c) for c in _columns(point_pairs))
-    nodes = rule.nodes[:, None]
-    b_alpha, b_z = chordal_transition(flow, nodes, alpha), chordal_transition(flow, nodes, z)
+    (b_alpha, b_z), (end_alpha, end_z) = _node_and_end_table(chordal_transition, flow, flow.s, rule, alpha, z)
     lhs = np.exp(_integral(rule, 1.0 / (b_alpha.conjugate() * b_z)))
-    end_alpha, end_z = chordal_transition(flow, flow.s, alpha), chordal_transition(flow, flow.s, z)
     rhs = (end_z - end_alpha.conjugate()) / (z - alpha.conjugate())
     return _report("chordal-exp-kernel", len(point_pairs), np.abs(lhs - rhs), tol)
 

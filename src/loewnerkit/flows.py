@@ -3,8 +3,13 @@
 Each family is evaluated either by closed form (Koebe semigroup on the
 disk, basic slit map on the half-plane) or by fixed-step classical RK4
 integration of the corresponding Loewner ODE.  Drivers are piecewise
-constant in time; RK4 steps are adjusted per driver segment so segment
-breakpoints always coincide with step boundaries.
+constant in time.  The RK4 grid belongs to the spec: each driver segment
+of the flow interval is split into ceil(length / step) equal steps, so
+segment breakpoints always coincide with step boundaries.  Each distinct
+starting point is integrated in one forward sweep, and every time
+requested for it is read off that sweep; a time between grid nodes gets
+one partial step from the last node.  A FlowEscapeError names the first
+point, in flat order of first appearance, whose sweep escapes.
 
 Transition maps take times and points as scalars or numpy arrays that
 broadcast together; a scalar is the 0-d case.
@@ -213,27 +218,69 @@ def _left_halfplane(y: complex) -> bool:
     return y.imag <= CHORDAL_ESCAPE_MARGIN
 
 
-def _integrate(times, points, start, driver, field_of, step, escaped, what):
-    # One trajectory per broadcast (time, point) pair, stepped on Python
-    # float and complex: they are faster per step than numpy scalars, and a
-    # driver pole raises ZeroDivisionError instead of yielding inf or nan.
+def _rk4_flow(spec):
+    """Start, end, driver, field, escape test and label of a flow's RK4 backend."""
+    if isinstance(spec, RadialFlowSpec):
+        return spec.a, spec.b, spec.driver, _herglotz_field, _left_disk, "radial"
+    driver = spec.driver if spec.driver is not None else ((spec.r, AtomicMeasure.dirac(0.0)),)
+    return spec.r, spec.s, driver, _chordal_field, _left_halfplane, "chordal"
+
+
+def _sweep(spec, z: complex, times):
+    """Yield B_t(z) for each of the ascending ``times`` in one forward RK4
+    pass over the spec's grid, stopping at the last of them.
+
+    The state advances by full steps only; a time between grid nodes gets
+    one partial step from the last node, so a value depends on (spec, t, z)
+    alone.  The state is a Python complex: it is faster per step than a
+    numpy scalar, and a driver pole raises ZeroDivisionError instead of
+    yielding inf or nan."""
+    start, end, driver, field_of, escaped, what = _rk4_flow(spec)
+
+    def advance(y, h, f):
+        try:
+            y = _rk4_step(y, h, f)
+        except ZeroDivisionError:
+            raise FlowEscapeError(f"{what} trajectory from {z} hit a driver pole") from None
+        if escaped(y):
+            raise FlowEscapeError(f"{what} trajectory from {z} left the domain near {y}")
+        return y
+
+    times = iter(times)
+    t = next(times, None)
+    y = z
+    for lo, hi, mu in _segments(driver, start, end):
+        f = field_of(mu)
+        n = max(1, math.ceil((hi - lo) / spec.ode.step - _TIME_SLACK))
+        h = (hi - lo) / n
+        for k in range(n):
+            node = lo + k * h
+            following = hi if k + 1 == n else lo + (k + 1) * h
+            while t is not None and t < following:
+                yield y if t == node else advance(y, t - node, f)
+                t = next(times, None)
+            if t is None:
+                return
+            y = advance(y, h, f)
+    while t is not None:  # the end time, or every time of an empty interval
+        yield y
+        t = next(times, None)
+
+
+def _integrate(spec, times, points):
+    """RK4 table over broadcast times and points: one sweep per distinct
+    point, in flat order of first appearance, over its sorted times."""
     times, points = np.broadcast_arrays(times, points)
-    out = np.empty(points.shape, dtype=complex)
-    for i, (t, z) in enumerate(zip(times.flat, points.flat)):
-        y = z = complex(z)
-        for lo, hi, mu in _segments(driver, start, float(t)):
-            f = field_of(mu)
-            n = max(1, math.ceil((hi - lo) / step - _TIME_SLACK))
-            h = (hi - lo) / n
-            for _ in range(n):
-                try:
-                    y = _rk4_step(y, h, f)
-                except ZeroDivisionError:
-                    raise FlowEscapeError(f"{what} trajectory from {z} hit a driver pole") from None
-                if escaped(y):
-                    raise FlowEscapeError(f"{what} trajectory from {z} left the domain near {y}")
-        out.flat[i] = y
-    return out[()]
+    pairs = [(float(t), complex(z)) for t, z in zip(times.flat, points.flat)]
+    wanted = {}
+    for t, z in pairs:
+        wanted.setdefault(z, set()).add(t)
+    values = {}
+    for z, ts in wanted.items():
+        ts = sorted(ts)
+        values[z] = dict(zip(ts, _sweep(spec, z, ts)))
+    out = np.array([values[z][t] for t, z in pairs], dtype=complex)
+    return out.reshape(points.shape)[()]
 
 
 def _flow_times(t, lo: float, hi: float, name: str):
@@ -255,7 +302,7 @@ def radial_transition(spec: RadialFlowSpec, t, z):
     if spec.backend == CLOSED_FORM:
         u = np.exp(spec.a - t) * z / (1.0 - z) ** 2
         return np.where(t <= spec.a, z, _koebe_inverse(u))[()]
-    return _integrate(t, z, spec.a, spec.driver, _herglotz_field, spec.ode.step, _left_disk, "radial")
+    return _integrate(spec, t, z)
 
 
 def chordal_transition(spec: ChordalFlowSpec, s, z):
@@ -266,8 +313,7 @@ def chordal_transition(spec: ChordalFlowSpec, s, z):
     z = require_halfplane(z)
     if spec.backend == CLOSED_FORM:
         return np.where(s <= spec.r, z, sqrt_halfplane(z * z - 2.0 * (s - spec.r)))[()]
-    driver = spec.driver if spec.driver is not None else ((spec.r, AtomicMeasure.dirac(0.0)),)
-    return _integrate(s, z, spec.r, driver, _chordal_field, spec.ode.step, _left_halfplane, "chordal")
+    return _integrate(spec, s, z)
 
 
 def iter_flow_trace(spec, z: complex, n_samples: int):
@@ -277,14 +323,18 @@ def iter_flow_trace(spec, z: complex, n_samples: int):
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     if isinstance(spec, RadialFlowSpec):
-        lo, hi, transition = spec.a, spec.b, radial_transition
+        lo, hi, transition, require = spec.a, spec.b, radial_transition, require_disk
     elif isinstance(spec, ChordalFlowSpec):
-        lo, hi, transition = spec.r, spec.s, chordal_transition
+        lo, hi, transition, require = spec.r, spec.s, chordal_transition, require_halfplane
     else:
         raise TypeError(f"unsupported flow spec {type(spec).__name__}")
-    for i in range(n_samples):
-        t = lo + (hi - lo) * i / (n_samples - 1)
-        yield t, transition(spec, t, z)
+    times = [lo + (hi - lo) * i / (n_samples - 1) for i in range(n_samples)]
+    if spec.backend == RUNGE_KUTTA:
+        sweep = _sweep(spec, complex(require(z)), _flow_times(times, lo, hi, "t").tolist())
+        values = map(np.complex128, sweep)
+    else:
+        values = (transition(spec, t, z) for t in times)
+    yield from zip(times, values)
 
 
 def flow_trace(spec, z: complex, n_samples: int):

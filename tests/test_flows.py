@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from loewnerkit import (
     radial_transition,
     sqrt_halfplane,
 )
+from loewnerkit import flows
 from loewnerkit.errors import DomainError, FlowEscapeError
 
 
@@ -95,6 +97,9 @@ class TestRadial:
         spec = RadialFlowSpec.koebe(0.0, 1.0, backend=RUNGE_KUTTA)
         with pytest.raises(FlowEscapeError):
             radial_transition(spec, 1.0, 0.9999999999)
+        # The error names the first escaping point in flat order.
+        with pytest.raises(FlowEscapeError, match=r"from \(0\.99999999995"):
+            radial_transition(spec, 1.0, np.array([0.3, 0.99999999995, 0.9999999999]))
 
     def test_closed_form_requires_koebe_driver(self):
         mix = AtomicMeasure(((-1.0, 0.5), (1.0, 0.5)))
@@ -168,12 +173,107 @@ def test_broadcast_tables_match_scalar_calls(backend):
         (radial_transition, RadialFlowSpec.koebe(0.0, 1.0, backend=backend), [0.3 - 0.2j, -0.5j, 0.0, 0.6]),
         (chordal_transition, ChordalFlowSpec.basic_slit(0.0, 1.0, backend=backend), [1j, -1.5 + 0.7j, 0.4 + 2j]),
     )
-    times = np.array([0.0, 0.25, 1.0])[:, None]
+    # Shuffled and repeated times, and a repeated point.
+    times = np.array([0.25, 1.0, 0.0, 0.6180339887, 0.25])[:, None]
     for transition, spec, points in cases:
+        points = points + [points[0]]
         table = transition(spec, times, np.array(points)[None, :])
-        assert table.shape == (3, len(points))
+        assert table.shape == (len(times), len(points))
         reference = np.array([[transition(spec, float(t), z) for z in points] for t in times[:, 0]])
-        assert np.max(np.abs(table - reference)) <= 1e-15
+        if backend == RUNGE_KUTTA:
+            assert np.array_equal(table, reference)
+        else:
+            assert np.max(np.abs(table - reference)) <= 1e-15
+
+
+def _restart_reference(spec, t, z):
+    """Restart RK4: integrate (t, z) from the interval start on the grid of
+    the segments up to t.  The one-sweep integrator reproduces it bit for
+    bit at the interval end and at driver breakpoints."""
+    if isinstance(spec, RadialFlowSpec):
+        start, driver, field_of = spec.a, spec.driver, flows._herglotz_field
+    else:
+        start, driver, field_of = spec.r, spec.driver or ((spec.r, AtomicMeasure.dirac(0.0)),), flows._chordal_field
+    y = complex(z)
+    for lo, hi, mu in flows._segments(driver, start, t):
+        f = field_of(mu)
+        n = max(1, math.ceil((hi - lo) / spec.ode.step - 1e-12))
+        for _ in range(n):
+            y = flows._rk4_step(y, (hi - lo) / n, f)
+    return y
+
+
+# The benchmark's two-segment multi-atom radial driver: no closed form.
+_MULTI_ATOM = (
+    (0.0, AtomicMeasure(((-1.0, 0.6), (complex(math.cos(2.1), math.sin(2.1)), 0.4)))),
+    (0.5, AtomicMeasure(((complex(math.cos(2.1), -math.sin(2.1)), 0.5), (1j, 0.5)))),
+)
+
+
+class TestSweep:
+    @pytest.mark.parametrize(
+        "spec, points, breaks",
+        [
+            (RadialFlowSpec(0.0, 1.0, _MULTI_ATOM, backend=RUNGE_KUTTA), [0.3 + 0.4j, -0.95, 0.6 - 0.7j], [0.5]),
+            (RadialFlowSpec.koebe(0.2, 1.3, backend=RUNGE_KUTTA), [0.9j, -0.5 + 0.1j], []),
+            (
+                ChordalFlowSpec(0.0, 1.0, ((0.0, AtomicMeasure(((0.0, 0.6), (1.0, 0.4)))), (0.4, AtomicMeasure.dirac(-0.5))), backend=RUNGE_KUTTA),
+                [1j, -1.5 + 0.7j],
+                [0.4],
+            ),
+        ],
+    )
+    def test_matches_restart_reference(self, spec, points, breaks):
+        lo, hi = (spec.a, spec.b) if isinstance(spec, RadialFlowSpec) else (spec.r, spec.s)
+        exact = [hi] + breaks
+        interior = list(np.random.RandomState(2).uniform(lo, hi, size=6))
+        transition = radial_transition if isinstance(spec, RadialFlowSpec) else chordal_transition
+        halved = dataclasses.replace(spec, ode=OdeConfig(spec.ode.step / 2))
+        table = transition(spec, np.array(exact + interior)[:, None], np.array(points)[None, :])
+        for i, t in enumerate(exact + interior):
+            for j, z in enumerate(points):
+                reference = _restart_reference(spec, t, z)
+                if t in exact:
+                    assert table[i, j] == reference
+                else:
+                    # Two RK4 grids differ by their discretization errors, which
+                    # near a driver pole (z = -0.95) reach 1e-8 at step 1e-3:
+                    # allow the reference's own step-halving error estimate.
+                    estimate = abs(reference - _restart_reference(halved, t, z))
+                    assert abs(table[i, j] - reference) <= 1e-12 + estimate
+
+    def test_multi_atom_driver_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        spec = RadialFlowSpec(0.0, 1.0, _MULTI_ATOM, backend=RUNGE_KUTTA)
+        points = [0.3 + 0.4j, -0.5 + 0.1j]
+        times = [0.77, 1.0]
+        table = radial_transition(spec, np.array(times)[:, None], np.array(points)[None, :])
+        with mp.workdps(18):
+
+            def field(mu):
+                atoms = [(mp.mpc(xi), mp.mpf(wt)) for xi, wt in mu.atoms]
+                return lambda _t, w: -w * sum(wt * (1 + xi * w) / (1 - xi * w) for xi, wt in atoms)
+
+            for j, z in enumerate(points):
+                first = mp.odefun(field(_MULTI_ATOM[0][1]), 0.0, mp.mpc(z))
+                second = mp.odefun(field(_MULTI_ATOM[1][1]), 0.5, first(0.5))
+                for i, t in enumerate(times):
+                    assert abs(table[i, j] - complex(second(t))) <= 1e-10
+
+    def test_one_sweep_per_point(self, monkeypatch):
+        steps = []
+        rk4_step = flows._rk4_step
+
+        def counted(y, h, f):
+            steps.append(h)
+            return rk4_step(y, h, f)
+
+        monkeypatch.setattr(flows, "_rk4_step", counted)
+        spec = RadialFlowSpec.koebe(0.0, 1.0, backend=RUNGE_KUTTA, ode=OdeConfig(1e-3))
+        times = np.append(np.linspace(0.0, 1.0, 64, endpoint=False) + 1e-3 / 3, 1.0)
+        radial_transition(spec, times[:, None], np.array([0.3 - 0.2j, -0.5j])[None, :])
+        assert len(steps) <= 2 * (1000 + 65)
 
 
 def test_out_of_domain_point_in_array_raises():
@@ -208,6 +308,17 @@ class TestTrace:
         expected = [(0.0, 1j), (0.5, 1j * math.sqrt(2)), (1.0, 1j * math.sqrt(3))]
         for (t, b), (te, be) in zip(trace, expected):
             assert t == te and abs(b - be) < 1e-15
+
+    @pytest.mark.parametrize(
+        "spec, z, transition",
+        [
+            (RadialFlowSpec(0.0, 1.0, _MULTI_ATOM, backend=RUNGE_KUTTA), 0.3 + 0.4j, radial_transition),
+            (ChordalFlowSpec.basic_slit(0.2, 1.1, backend=RUNGE_KUTTA), -0.4 + 0.8j, chordal_transition),
+        ],
+    )
+    def test_rk4_samples_match_transition_calls(self, spec, z, transition):
+        for t, b in flow_trace(spec, z, 13):
+            assert b == transition(spec, t, z)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
