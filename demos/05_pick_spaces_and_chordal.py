@@ -14,11 +14,14 @@ from loewnerkit import (
     ChordalFlowSpec,
     DbrDiskKernel,
     PickRepresentation,
+    PickSpaceKernel,
     cayley_isometry_check,
     cayley_to_disk,
     cayley_to_halfplane,
+    chordal_exp_element,
     chordal_exp_element_check,
     chordal_exp_kernel_check,
+    chordal_transition,
     gauss_legendre,
     membership_test,
     nevanlinna_split_check,
@@ -32,6 +35,7 @@ from loewnerkit.sampling import (
     halfplane_pairs,
     halfplane_points,
     membership_disk_sets,
+    membership_halfplane_sets,
 )
 
 print("== Nevanlinna split of the Pick kernel (exact for atoms) ==")
@@ -77,5 +81,11 @@ print(f"exp(integral) vs difference quotient: max err {kernel_check.max_abs_err:
 anchor = chordal_exp_kernel_check(slit, rule, [(1j, 1j)])
 print(f"anchor alpha = z = i (both sides sqrt(3)): err {anchor.max_abs_err:.2e}")
 
-identity, membership = chordal_exp_element_check(slit, rule, halfplane_points(20, 1, rect=HALFPLANE_RECT_SAFE))
+identity = chordal_exp_element_check(slit, rule, halfplane_points(20, 1, rect=HALFPLANE_RECT_SAFE))
+membership = membership_test(
+    PickSpaceKernel(lambda z: chordal_transition(slit, 1.0, z)),
+    chordal_exp_element(slit),
+    membership_halfplane_sets((16, 32, 64, 128), 1),
+    eps=1e-8,
+)
 print(f"exp(z - B_1(z)) identity: max err {identity.max_abs_err:.2e}; membership {membership.verdict}")

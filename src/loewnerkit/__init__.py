@@ -14,6 +14,7 @@ from .expansions import (
     QuadratureRule,
     cayley_isometry_check,
     chordal_derivative_identity_check,
+    chordal_exp_element,
     chordal_exp_element_check,
     chordal_exp_kernel_check,
     composite_simpson,

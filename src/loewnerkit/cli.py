@@ -23,6 +23,7 @@ from .expansions import (
     IdentityReport,
     cayley_isometry_check,
     chordal_derivative_identity_check,
+    chordal_exp_element,
     chordal_exp_element_check,
     chordal_exp_kernel_check,
     gauss_legendre,
@@ -40,6 +41,7 @@ from .flows import (
     ChordalFlowSpec,
     OdeConfig,
     RadialFlowSpec,
+    chordal_transition,
     iter_flow_trace,
     radial_transition,
 )
@@ -73,6 +75,7 @@ from .sampling import (
 SCHEMA_VERSION = 1
 
 MAX_NODES = 1024
+MAX_TRACE_SAMPLES = 10**6
 MEMBERSHIP_SIZES = (16, 32, 64, 128)
 MEMBERSHIP_EPS = 1e-8
 
@@ -85,8 +88,8 @@ class SuiteConfig:
     b: float = 1.0
     nodes: int = 64
     tols: dict = None
-    herglotz_atoms: tuple = None
-    pick_rep: dict = None
+    herglotz_atoms: AtomicMeasure = None
+    pick_rep: PickRepresentation = None
     corrupt_psd: bool = False
 
     def tol_for(self, suite: str) -> float:
@@ -105,9 +108,10 @@ class SuiteConfig:
         if self.tols:
             out["tol"] = {k: self.tols[k] for k in sorted(self.tols)}
         if self.herglotz_atoms is not None:
-            out["herglotz_atoms"] = [list(atom) for atom in self.herglotz_atoms]
+            out["herglotz_atoms"] = [[xi.real, xi.imag, w] for xi, w in self.herglotz_atoms.atoms]
         if self.pick_rep is not None:
-            out["pick_rep"] = self.pick_rep
+            rep = self.pick_rep
+            out["pick_rep"] = {"b": rep.b, "c": rep.c, "atoms": [[t.real, w] for t, w in rep.mu.atoms]}
         if self.corrupt_psd:
             out["corrupt_psd"] = True
         return out
@@ -178,13 +182,12 @@ def validate_config(raw: dict) -> SuiteConfig:
             if not isinstance(atom, list) or len(atom) != 3:
                 _fail(f"herglotz atom {atom!r} must be a [re, im, weight] triple")
             re, im, w = (_check_number(v, "herglotz atom entry") for v in atom)
-            parsed.append((re, im, w))
-        herglotz_atoms = tuple(parsed)
+            parsed.append((complex(re, im), w))
         try:
-            mu = _herglotz_measure(herglotz_atoms)
+            herglotz_atoms = AtomicMeasure(tuple(parsed))
         except ValueError as exc:
             _fail(f"herglotz_atoms: {exc}")
-        if not (mu.on_unit_circle() and mu.is_probability()):
+        if not (herglotz_atoms.on_unit_circle() and herglotz_atoms.is_probability()):
             _fail("herglotz_atoms must form a probability measure on the unit circle")
 
     pick_rep = None
@@ -200,11 +203,9 @@ def validate_config(raw: dict) -> SuiteConfig:
         for atom in rep["atoms"]:
             if not isinstance(atom, list) or len(atom) != 2:
                 _fail(f"pick_rep atom {atom!r} must be a [t, weight] pair")
-            t, w = (_check_number(v, "pick_rep atom entry") for v in atom)
-            rep_atoms.append([t, w])
-        pick_rep = {"b": rep_b, "c": rep_c, "atoms": rep_atoms}
+            rep_atoms.append(tuple(_check_number(v, "pick_rep atom entry") for v in atom))
         try:
-            _pick_representation(pick_rep)
+            pick_rep = PickRepresentation(rep_b, rep_c, AtomicMeasure(tuple(rep_atoms)))
         except (ValueError, OverflowError) as exc:  # OverflowError: an atom t with t**2 beyond max float
             _fail(f"pick_rep: {exc}")
 
@@ -260,24 +261,6 @@ def _pick_phi(w):
 
 def _pick_psi(z):
     return cayley_to_disk(_pick_phi(cayley_to_halfplane(z)))
-
-
-def _pick_representation(rep: dict) -> PickRepresentation:
-    return PickRepresentation(rep["b"], rep["c"], AtomicMeasure(tuple((t, w) for t, w in rep["atoms"])))
-
-
-def _herglotz_measure(atoms) -> AtomicMeasure:
-    return AtomicMeasure(tuple((complex(re, im), w) for re, im, w in atoms))
-
-
-def _configured_pick_rep(cfg, fallback: PickRepresentation) -> PickRepresentation:
-    return fallback if cfg.pick_rep is None else _pick_representation(cfg.pick_rep)
-
-
-def _default_herglotz_measure(cfg) -> AtomicMeasure:
-    if cfg.herglotz_atoms is None:
-        return AtomicMeasure(((1.0, 0.5), (-1.0, 0.3), (cmath.exp(0.7j), 0.2)))
-    return _herglotz_measure(cfg.herglotz_atoms)
 
 
 def _suite_kernel_psd(cfg: SuiteConfig):
@@ -372,13 +355,13 @@ def _suite_cayley_isometry(cfg: SuiteConfig):
 
 
 def _suite_nevanlinna_split(cfg: SuiteConfig):
-    rep = _configured_pick_rep(cfg, PickRepresentation(1.0, 2.0, AtomicMeasure.dirac(1.0, math.pi)))
+    rep = cfg.pick_rep or PickRepresentation(1.0, 2.0, AtomicMeasure.dirac(1.0, math.pi))
     pairs = halfplane_pairs(10, cfg.seed)
     return [_identity_entry("nevanlinna-split", nevanlinna_split_check(rep, pairs, cfg.tol_for("nevanlinna-split")))]
 
 
 def _suite_herglotz_mixture(cfg: SuiteConfig):
-    mu = _default_herglotz_measure(cfg)
+    mu = cfg.herglotz_atoms or AtomicMeasure(((1.0, 0.5), (-1.0, 0.3), (cmath.exp(0.7j), 0.2)))
     pairs = disk_pairs(10, cfg.seed)
     return [_identity_entry("herglotz-mixture", herglotz_mixture_check(mu, pairs, cfg.tol_for("herglotz-mixture")))]
 
@@ -403,10 +386,10 @@ def _suite_chordal_exp_element(cfg: SuiteConfig):
     flow = ChordalFlowSpec.basic_slit(cfg.a, cfg.b)
     rule = gauss_legendre(cfg.nodes, cfg.a, cfg.b)
     pts = halfplane_points(20, cfg.seed, rect=HALFPLANE_RECT_SAFE)
+    identity = chordal_exp_element_check(flow, rule, pts, cfg.tol_for("chordal-exp-element"))
+    kernel = PickSpaceKernel(lambda z: chordal_transition(flow, flow.s, z))
     sets = membership_halfplane_sets(MEMBERSHIP_SIZES, cfg.seed)
-    identity, membership = chordal_exp_element_check(
-        flow, rule, pts, cfg.tol_for("chordal-exp-element"), nested_sets=sets, eps=MEMBERSHIP_EPS
-    )
+    membership = membership_test(kernel, chordal_exp_element(flow), sets, MEMBERSHIP_EPS)
     return [
         _identity_entry("chordal-exp-element", identity),
         _membership_entry("chordal-exp-element", "exp-slit-element", membership, BOUNDED),
@@ -439,7 +422,7 @@ def _suite_membership(cfg: SuiteConfig):
         ),
     ]
 
-    rep = _configured_pick_rep(cfg, PickRepresentation(0.0, 1.0, AtomicMeasure.dirac(0.0, math.pi)))
+    rep = cfg.pick_rep or PickRepresentation(0.0, 1.0, AtomicMeasure.dirac(0.0, math.pi))
     if rep.c == 0.0:
         entries.append(
             {
@@ -582,8 +565,8 @@ def _run_trace(args) -> int:
         else:
             flow = ChordalFlowSpec.basic_slit(args.a, args.b, backend=args.backend, ode=ode)
             require_halfplane(z)
-        if args.n < 2:
-            raise ConfigError("n must be at least 2")
+        if not 2 <= args.n <= MAX_TRACE_SAMPLES:
+            raise ConfigError(f"n must be in [2, {MAX_TRACE_SAMPLES}], got {args.n}")
         out = open(args.out, "w") if args.out else sys.stdout
     except (OSError, ValueError, LoewnerkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -627,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     tracep.add_argument("--b", type=float, default=1.0, help="interval end")
     tracep.add_argument("--z-re", type=float, required=True, help="Re of the traced point")
     tracep.add_argument("--z-im", type=float, default=0.0, help="Im of the traced point")
-    tracep.add_argument("--n", type=int, default=11, help="number of samples (>= 2)")
+    tracep.add_argument("--n", type=int, default=11, help=f"number of samples, 2 to {MAX_TRACE_SAMPLES}")
     tracep.add_argument("--backend", choices=(CLOSED_FORM, RUNGE_KUTTA), default=CLOSED_FORM)
     tracep.add_argument("--step", type=float, help="RK4 step override")
     tracep.add_argument("--out", help="write CSV here instead of stdout")

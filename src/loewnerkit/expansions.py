@@ -8,13 +8,9 @@ import numpy as np
 
 from .errors import BranchCutError
 from .flows import ChordalFlowSpec, RadialFlowSpec, chordal_transition, radial_transition
-from .kernels import DbrDiskKernel, LoewnerTimeKernel, PaleyWienerKernel, PickSpaceKernel, gram, membership_test
+from .kernels import DbrDiskKernel, LoewnerTimeKernel, PaleyWienerKernel, PickSpaceKernel, gram
 from .moebius import cayley_to_disk, cayley_to_halfplane, require_disk, require_halfplane
 from .representations import AtomicMeasure, PickRepresentation, herglotz_eval, pick_eval
-from .sampling import membership_halfplane_sets
-
-GAUSS_LEGENDRE = "gauss-legendre"
-COMPOSITE_SIMPSON = "composite-simpson"
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -25,7 +21,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
     a: float
     b: float
 
@@ -51,7 +46,7 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
         raise ValueError("n must be at least 1")
     x, w = np.polynomial.legendre.leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return QuadratureRule(mid + half * x, half * w, GAUSS_LEGENDRE, float(a), float(b))
+    return QuadratureRule(mid + half * x, half * w, float(a), float(b))
 
 
 def composite_simpson(n: int, a: float, b: float) -> QuadratureRule:
@@ -64,26 +59,24 @@ def composite_simpson(n: int, a: float, b: float) -> QuadratureRule:
     weights = np.full(n + 1, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
-    return QuadratureRule(nodes, weights * h / 3.0, COMPOSITE_SIMPSON, float(a), float(b))
+    return QuadratureRule(nodes, weights * h / 3.0, float(a), float(b))
 
 
-def flow_rule(flow, nodes_per_segment: int = 64, kind: str = GAUSS_LEGENDRE) -> QuadratureRule:
-    """Quadrature over the flow interval with one sub-rule per driver segment,
-    so piecewise-constant drivers stay analytic on each sub-rule."""
+def flow_rule(flow, nodes_per_segment: int = 64) -> QuadratureRule:
+    """Gauss-Legendre rule over the flow interval, one sub-rule per driver
+    segment, so piecewise-constant drivers stay analytic on each sub-rule."""
     if isinstance(flow, RadialFlowSpec):
         lo, hi, driver = flow.a, flow.b, flow.driver
     elif isinstance(flow, ChordalFlowSpec):
         lo, hi, driver = flow.r, flow.s, flow.driver or ()
     else:
         raise TypeError(f"unsupported flow spec {type(flow).__name__}")
-    if kind not in (GAUSS_LEGENDRE, COMPOSITE_SIMPSON):
-        raise ValueError(f"unknown quadrature kind {kind!r}")
     breaks = sorted({lo, hi} | {bp for bp, _ in driver if lo < bp < hi})
-    make = gauss_legendre if kind == GAUSS_LEGENDRE else composite_simpson
-    pieces = [make(nodes_per_segment, s0, s1) for s0, s1 in zip(breaks, breaks[1:])] or [make(nodes_per_segment, lo, hi)]
+    edges = list(zip(breaks, breaks[1:])) or [(lo, hi)]
+    pieces = [gauss_legendre(nodes_per_segment, s0, s1) for s0, s1 in edges]
     nodes = np.concatenate([p.nodes for p in pieces])
     weights = np.concatenate([p.weights for p in pieces])
-    return QuadratureRule(nodes, weights, kind, lo, hi)
+    return QuadratureRule(nodes, weights, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -221,7 +214,7 @@ def koebe_log_element_check(flow: RadialFlowSpec, rule: QuadratureRule, points, 
     return _report("koebe-log", len(points), np.abs(element(pts) - closed), tol)
 
 
-def cayley_isometry_check(psi, point_pairs, gram_points=None, tol: float = 1e-10) -> IdentityReport:
+def cayley_isometry_check(psi, point_pairs, gram_points, tol: float = 1e-10) -> IdentityReport:
     """Transport of the Pick kernel through the Cayley transform.
 
     With phi = T o psi o T^{-1} and alpha = T(lam), beta = T(mu), checks
@@ -231,8 +224,9 @@ def cayley_isometry_check(psi, point_pairs, gram_points=None, tol: float = 1e-10
             * (1 - mu)/(1 - psi(mu))
             * (1 - conj(psi(lam)) psi(mu)) / (1 - conj(lam) mu)
 
-    pointwise, and the matching Gram identity: scaling the Pick Gram of the
-    mapped kernel columns reproduces the de Branges-Rovnyak Gram of psi.
+    pointwise on the pairs, and the matching Gram identity on the
+    pairwise-distinct ``gram_points``: scaling the Pick Gram of the mapped
+    kernel columns reproduces the de Branges-Rovnyak Gram of psi.
     ``psi`` is evaluated on numpy arrays of points.
     """
 
@@ -255,10 +249,6 @@ def cayley_isometry_check(psi, point_pairs, gram_points=None, tol: float = 1e-10
     )
     pair_err = np.max(np.abs(lhs - rhs), initial=0.0)
 
-    if gram_points is None:
-        pts = np.asarray(point_pairs, dtype=complex).ravel()
-        repeated = np.triu(np.abs(pts[:, None] - pts[None, :]) <= 1e-12, 1).any(axis=0)
-        gram_points = pts[~repeated][:6]
     pts = require_disk(np.reshape(gram_points, -1))
     psi_pts = psi(pts)
     if np.any(np.abs(1.0 - psi_pts) <= 1e-12):
@@ -306,36 +296,22 @@ def chordal_exp_kernel_check(flow: ChordalFlowSpec, rule: QuadratureRule, point_
     return _report("chordal-exp-kernel", len(point_pairs), np.abs(lhs - rhs), tol)
 
 
-def chordal_exp_element_check(
-    flow: ChordalFlowSpec,
-    rule: QuadratureRule,
-    points,
-    tol: float = 1e-8,
-    nested_sets=None,
-    eps: float = 1e-8,
-    growth_ratio: float = 10.0,
-    seed: int = 1,
-):
+def chordal_exp_element(flow: ChordalFlowSpec):
+    """The element z -> exp(z - B_b(z)) of the Pick space of B_b, for the
+    end map B_b of a chordal flow; it takes z as a scalar or a numpy array."""
+
+    def element(z):
+        return np.exp(z - chordal_transition(flow, flow.s, z))
+
+    return element
+
+
+def chordal_exp_element_check(flow: ChordalFlowSpec, rule: QuadratureRule, points, tol: float = 1e-8) -> IdentityReport:
     """Pointwise identity exp(integral of dt / B_t(z)) = exp(z - B_b(z)),
-    then a membership probe of exp(z - B_b(z)) in the Pick space of B_b.
-
-    Returns (IdentityReport, MembershipReport).
-    """
-
-    def b_end(z):
-        return chordal_transition(flow, flow.s, z)
-
-    def candidate(z):
-        return np.exp(z - b_end(z))
-
+    with the right side from ``chordal_exp_element``."""
     pts = require_halfplane(np.reshape(points, -1))
     lhs = np.exp(_integral(rule, 1.0 / chordal_transition(flow, rule.nodes[:, None], pts)))
-    report = _report("chordal-exp-element", len(points), np.abs(lhs - candidate(pts)), tol)
-
-    if nested_sets is None:
-        nested_sets = membership_halfplane_sets((16, 32, 64, 128), seed)
-    membership = membership_test(PickSpaceKernel(b_end), candidate, nested_sets, eps, growth_ratio)
-    return report, membership
+    return _report("chordal-exp-element", len(points), np.abs(lhs - chordal_exp_element(flow)(pts)), tol)
 
 
 def herglotz_mixture_check(mu: AtomicMeasure, point_pairs, tol: float = 1e-12) -> IdentityReport:

@@ -33,6 +33,8 @@ RADIAL_ESCAPE_MARGIN = 1e-9
 CHORDAL_ESCAPE_MARGIN = 1e-9
 
 _TIME_SLACK = 1e-12
+# Cap on (end - start) / step of an RK4 spec, so no grid runs for hours.
+MAX_RK4_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,16 @@ def _validate_driver(driver, start: float, on_circle: bool):
         elif not mu.on_real_line():
             raise ValueError("chordal driver measures must live on the real line")
     return driver
+
+
+def _check_rk4_grid(spec, start: float, end: float):
+    if spec.backend != RUNGE_KUTTA:
+        return
+    if end > start and spec.ode.step > (end - start) + _TIME_SLACK:
+        raise ValueError("ODE step exceeds the flow interval")
+    steps = (end - start) / spec.ode.step
+    if steps > MAX_RK4_STEPS:
+        raise ValueError(f"RK4 grid of {steps:.3g} steps exceeds MAX_RK4_STEPS = {MAX_RK4_STEPS}")
 
 
 def _is_dirac_minus_one(mu: AtomicMeasure) -> bool:
@@ -102,8 +114,7 @@ class RadialFlowSpec:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == CLOSED_FORM and not all(_is_dirac_minus_one(mu) for _, mu in self.driver):
             raise ValueError("closed-form radial backend requires the Koebe driver (Dirac at -1)")
-        if self.backend == RUNGE_KUTTA and self.b > self.a and self.ode.step > (self.b - self.a) + _TIME_SLACK:
-            raise ValueError("ODE step exceeds the flow interval")
+        _check_rk4_grid(self, self.a, self.b)
 
     @classmethod
     def koebe(cls, a: float, b: float, backend: str = CLOSED_FORM, ode: OdeConfig = None) -> "RadialFlowSpec":
@@ -143,8 +154,7 @@ class ChordalFlowSpec:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == CLOSED_FORM and self.driver is not None:
             raise ValueError("closed-form chordal backend requires the basic slit driver (None)")
-        if self.backend == RUNGE_KUTTA and self.s > self.r and self.ode.step > (self.s - self.r) + _TIME_SLACK:
-            raise ValueError("ODE step exceeds the flow interval")
+        _check_rk4_grid(self, self.r, self.s)
 
     @classmethod
     def basic_slit(cls, r: float, s: float, backend: str = CLOSED_FORM, ode: OdeConfig = None) -> "ChordalFlowSpec":

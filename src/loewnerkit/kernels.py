@@ -23,6 +23,9 @@ HERMITIAN_TOL = 1e-12
 BOUNDED = "Bounded"
 UNBOUNDED = "Unbounded"
 INCONCLUSIVE = "Inconclusive"
+# Verdict thresholds of membership_test.
+PLATEAU_RTOL = 0.01
+GROWTH_RATIO = 10.0
 
 
 @dataclass(frozen=True)
@@ -163,12 +166,11 @@ def psd_check(k, tol: float = 1e-8):
     return min_eig, min_eig >= -tol * max(1.0, max_eig)
 
 
-def rkhs_norm_estimate(spec, points, values, eps: float = None) -> float:
+def rkhs_norm_estimate(spec, points, values, eps: float) -> float:
     """Regularized finite-section quadratic form v* (K + eps I)^{-1} v.
 
     For values sampled from a kernel column k(., lambda) with lambda among
     the points, the estimate tends to k(lambda, lambda) as eps -> 0.
-    Default eps is 1e-10 * trace(K)/n.
     """
     k = gram(spec, points)
     v = np.asarray([complex(x) for x in values], dtype=complex)
@@ -176,8 +178,6 @@ def rkhs_norm_estimate(spec, points, values, eps: float = None) -> float:
         raise ValueError("values must match points in length")
     if k.size == 0:
         return 0.0
-    if eps is None:
-        eps = 1e-10 * float(np.trace(k.matrix).real) / k.size
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
     try:
@@ -208,11 +208,11 @@ def _is_nested(smaller, larger) -> bool:
     return not Counter(smaller) - Counter(larger)
 
 
-def membership_test(spec, func, nested_sets, eps: float, growth_ratio: float = 10.0, plateau_rtol: float = 0.01) -> MembershipReport:
+def membership_test(spec, func, nested_sets, eps: float) -> MembershipReport:
     """Heuristic RKHS membership decision from nested finite sections.
 
-    Verdict Bounded if the last three estimates agree to ``plateau_rtol``
-    relatively; Unbounded if the estimate grew by ``growth_ratio`` or more
+    Verdict Bounded if the last three estimates agree to ``PLATEAU_RTOL``
+    relatively; Unbounded if the estimate grew by ``GROWTH_RATIO`` or more
     across the last doubling of the point count; Inconclusive otherwise.
     ``eps`` is held fixed across levels so the estimates are nondecreasing.
     """
@@ -236,13 +236,13 @@ def membership_test(spec, func, nested_sets, eps: float, growth_ratio: float = 1
     if len(estimates) >= 3:
         last3 = estimates[-3:]
         top = max(last3)
-        if top <= tiny or (top - min(last3)) <= plateau_rtol * top:
+        if top <= tiny or (top - min(last3)) <= PLATEAU_RTOL * top:
             verdict = BOUNDED
             norm_bound = math.sqrt(max(estimates[-1], 0.0))
     if verdict != BOUNDED:
         half_idx = [i for i, c in enumerate(counts[:-1]) if c <= counts[-1] / 2]
         j = half_idx[-1] if half_idx else len(counts) - 2
-        if estimates[-1] >= growth_ratio * max(estimates[j], tiny):
+        if estimates[-1] >= GROWTH_RATIO * max(estimates[j], tiny):
             verdict = UNBOUNDED
     return MembershipReport(tuple(counts), tuple(estimates), verdict, norm_bound)
 

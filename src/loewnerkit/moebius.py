@@ -15,16 +15,16 @@ from .errors import DomainError
 BOUNDARY_MARGIN = 1e-12
 
 
-def in_disk(z, margin: float = BOUNDARY_MARGIN):
-    """True where z is a finite point with |z| < 1 - margin."""
+def in_disk(z):
+    """True where z is a finite point with |z| < 1 - BOUNDARY_MARGIN."""
     z = np.asarray(z, dtype=complex)
-    return np.isfinite(z) & (np.abs(z) < 1.0 - margin)
+    return np.isfinite(z) & (np.abs(z) < 1.0 - BOUNDARY_MARGIN)
 
 
-def in_halfplane(w, margin: float = BOUNDARY_MARGIN):
-    """True where w is a finite point with Im w > margin."""
+def in_halfplane(w):
+    """True where w is a finite point with Im w > BOUNDARY_MARGIN."""
     w = np.asarray(w, dtype=complex)
-    return np.isfinite(w) & (w.imag > margin)
+    return np.isfinite(w) & (w.imag > BOUNDARY_MARGIN)
 
 
 def _require(points, inside, name: str, domain: str):
@@ -35,16 +35,16 @@ def _require(points, inside, name: str, domain: str):
     return points[()]
 
 
-def require_disk(z, name: str = "z"):
+def require_disk(z):
     """z as a complex array (numpy scalar when 0-d); DomainError names the
     first point outside the open unit disk."""
-    return _require(z, in_disk, name, "unit disk")
+    return _require(z, in_disk, "z", "unit disk")
 
 
-def require_halfplane(w, name: str = "w"):
+def require_halfplane(w):
     """w as a complex array (numpy scalar when 0-d); DomainError names the
     first point outside the open upper half-plane."""
-    return _require(w, in_halfplane, name, "upper half-plane")
+    return _require(w, in_halfplane, "w", "upper half-plane")
 
 
 def cayley_to_halfplane(z):

@@ -47,14 +47,14 @@ class AtomicMeasure:
     def total_mass(self) -> float:
         return sum(w for _, w in self.atoms)
 
-    def is_probability(self, tol: float = PROBABILITY_TOL) -> bool:
-        return abs(self.total_mass() - 1.0) <= tol
+    def is_probability(self) -> bool:
+        return abs(self.total_mass() - 1.0) <= PROBABILITY_TOL
 
-    def on_unit_circle(self, tol: float = UNIT_MODULUS_TOL) -> bool:
-        return all(abs(abs(xi) - 1.0) <= tol for xi, _ in self.atoms)
+    def on_unit_circle(self) -> bool:
+        return all(abs(abs(xi) - 1.0) <= UNIT_MODULUS_TOL for xi, _ in self.atoms)
 
-    def on_real_line(self, tol: float = UNIT_MODULUS_TOL) -> bool:
-        return all(abs(xi.imag) <= tol for xi, _ in self.atoms)
+    def on_real_line(self) -> bool:
+        return all(abs(xi.imag) <= UNIT_MODULUS_TOL for xi, _ in self.atoms)
 
 
 # Driver of the Koebe semigroup: the Dirac measure at xi = -1.

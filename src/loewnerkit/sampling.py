@@ -104,25 +104,20 @@ def nested_prefix_sets(points, sizes):
     return [list(points[:s]) for s in sizes]
 
 
-def membership_disk_sets(sizes, seed: int, rmax: float = DISK_RMAX, focus: complex = 1.0 + 0.0j, rungs_per_level: int = 2):
-    """Nested disk sets for membership probes: a low-discrepancy cloud plus a
-    geometric ladder of points approaching the boundary point ``focus``.
+def membership_disk_sets(sizes, seed: int):
+    """Nested disk sets for membership probes: a low-discrepancy cloud in
+    |z| <= DISK_RMAX plus a geometric ladder of points approaching the
+    boundary point 1.
 
     Membership in a de Branges-Rovnyak space is decided by boundary
-    behavior, so each level extends the ladder toward the focus by
-    ``rungs_per_level`` rungs (distance halves per rung) while the cloud
-    grows with the level size.
+    behavior, so each level extends the ladder toward 1 by two rungs
+    (distance halves per rung) while the cloud grows with the level size.
     """
-    focus = complex(focus)
-    if abs(abs(focus) - 1.0) > 1e-9:
-        raise ValueError("focus must lie on the unit circle")
     sizes = [int(s) for s in sizes]
-    cloud = disk_points(sizes[-1] if sizes else 0, seed, rmax)
-    base_rungs = 3
+    cloud = disk_points(sizes[-1] if sizes else 0, seed)
     sets = []
     for level, size in enumerate(sizes):
-        depth = base_rungs + rungs_per_level * level
-        ladder = [(1.0 - 0.5 * 2.0**-j) * focus for j in range(depth)]
+        ladder = [complex(1.0 - 0.5 * 2.0**-j) for j in range(3 + 2 * level)]
         sets.append(cloud[:size] + ladder)
     lengths = [len(s) for s in sets]
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
@@ -130,7 +125,7 @@ def membership_disk_sets(sizes, seed: int, rmax: float = DISK_RMAX, focus: compl
     return sets
 
 
-def membership_halfplane_sets(sizes, seed: int, rect=HALFPLANE_RECT):
-    """Nested half-plane sets (plain prefixes; Pick-space probes need no ladder)."""
+def membership_halfplane_sets(sizes, seed: int):
+    """Nested sets in HALFPLANE_RECT (plain prefixes; Pick-space probes need no ladder)."""
     sizes = [int(s) for s in sizes]
-    return nested_prefix_sets(halfplane_points(sizes[-1] if sizes else 0, seed, rect), sizes)
+    return nested_prefix_sets(halfplane_points(sizes[-1] if sizes else 0, seed), sizes)

@@ -166,7 +166,7 @@ def test_criterion_6_pick_constant_element_membership():
 
 def test_criterion_7_chordal_exponential():
     kernel_report = chordal_exp_kernel_check(SLIT, RULE64, halfplane_pairs(10, 1, rect=HALFPLANE_RECT_SAFE))
-    element_report, _ = chordal_exp_element_check(SLIT, RULE64, halfplane_points(20, 1, rect=HALFPLANE_RECT_SAFE))
+    element_report = chordal_exp_element_check(SLIT, RULE64, halfplane_points(20, 1, rect=HALFPLANE_RECT_SAFE))
     anchor = chordal_exp_kernel_check(SLIT, RULE64, [(1j, 1j)], tol=1e-10)
     b_end = chordal_transition(SLIT, 1.0, 1j)
     anchor_value = (b_end - b_end.conjugate()) / (2j)

@@ -72,7 +72,7 @@ class TestValidateConfig:
         cfg = validate_config(
             {"suite": "nevanlinna-split", "pick_rep": {"b": 0.0, "c": 1.0, "atoms": [[0.0, math.pi]]}}
         )
-        assert cfg.pick_rep["c"] == 1.0
+        assert cfg.pick_rep.c == 1.0
         with pytest.raises(ConfigError):
             validate_config({"suite": "nevanlinna-split", "pick_rep": {"b": 0.0}})
         with pytest.raises(ConfigError):  # t**2 overflows a float
@@ -163,8 +163,10 @@ def test_run_exits_0_2_or_3_with_a_json_report(raw):
         ["run", "--suite", "nevanlinna-split", "--out", "{missing}/report.json"],
         ["trace", "--flow", "koebe", "--z-re", "0.3", "--out", "{missing}/trace.csv"],
         ["trace", "--flow", "koebe", "--backend", "rk4", "--step", "0", "--z-re", "0.3"],
+        ["trace", "--flow", "koebe", "--backend", "rk4", "--b", "1e308", "--z-re", "0.3", "--n", "2"],
+        ["trace", "--flow", "slit", "--z-re", "0.3", "--z-im", "1", "--n", "1000001"],
     ],
-    ids=["run-out-unopenable", "trace-out-unopenable", "trace-step-zero"],
+    ids=["run-out-unopenable", "trace-out-unopenable", "trace-step-zero", "trace-rk4-grid-over-cap", "trace-n-over-cap"],
 )
 def test_bad_arguments_exit_2_without_traceback(tmp_path, args):
     proc = _run_process([arg.format(missing=tmp_path / "missing") for arg in args])

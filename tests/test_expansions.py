@@ -9,11 +9,13 @@ from loewnerkit import (
     AtomicMeasure,
     ChordalFlowSpec,
     PickRepresentation,
+    PickSpaceKernel,
     RadialFlowSpec,
     cayley_isometry_check,
     cayley_to_disk,
     cayley_to_halfplane,
     chordal_derivative_identity_check,
+    chordal_exp_element,
     chordal_exp_element_check,
     chordal_exp_kernel_check,
     chordal_transition,
@@ -23,6 +25,7 @@ from loewnerkit import (
     gauss_legendre,
     herglotz_mixture_check,
     koebe_log_element_check,
+    membership_test,
     nevanlinna_split_check,
     paley_wiener_reconstruction_check,
     pick_constant_element,
@@ -37,6 +40,7 @@ from loewnerkit.sampling import (
     disk_points,
     halfplane_pairs,
     halfplane_points,
+    membership_halfplane_sets,
     point_pairs,
     rect_points,
 )
@@ -81,10 +85,6 @@ class TestQuadrature:
         assert len(rule.nodes) == 32
         assert abs(rule.weights.sum() - 1.0) <= 1e-12
         assert not np.any(np.isclose(rule.nodes, 0.4))
-
-    def test_flow_rule_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="bogus"):
-            flow_rule(KOEBE, 4, "bogus")
 
 
 class TestIntegratedKernel:
@@ -209,12 +209,12 @@ class TestKoebeLogElement:
 
 class TestCayleyIsometry:
     def test_identity_map_trivial(self):
-        report = cayley_isometry_check(lambda z: z, disk_pairs(5, 1, rmax=DISK_RMAX_SAFE))
+        report = cayley_isometry_check(lambda z: z, disk_pairs(5, 1, rmax=DISK_RMAX_SAFE), disk_points(6, 1, rmax=DISK_RMAX_SAFE))
         assert report.max_abs_err <= 1e-12
 
     def test_diagonal_pair_is_real_positive(self):
         lam = 0.3 + 0.2j
-        report = cayley_isometry_check(_pick_psi, [(lam, lam)])
+        report = cayley_isometry_check(_pick_psi, [(lam, lam)], [lam])
         assert report.passed
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -226,7 +226,7 @@ class TestCayleyIsometry:
 
     def test_degenerate_psi_rejected(self):
         with pytest.raises(ValueError):
-            cayley_isometry_check(lambda z: 1.0 + 0j, [(0.1, 0.2)])
+            cayley_isometry_check(lambda z: 1.0 + 0j, [(0.1, 0.2)], [0.1, 0.2])
 
 
 class TestPickConstantElement:
@@ -290,11 +290,11 @@ class TestChordalExpElement:
     def test_degenerate_interval(self):
         flow = ChordalFlowSpec.basic_slit(0.5, 0.5)
         rule = gauss_legendre(8, 0.5, 0.5)
-        report, _ = chordal_exp_element_check(flow, rule, [1j])
+        report = chordal_exp_element_check(flow, rule, [1j])
         assert report.max_abs_err <= 1e-15
 
     def test_closed_form_at_i(self):
-        report, _ = chordal_exp_element_check(SLIT, RULE, [1j])
+        report = chordal_exp_element_check(SLIT, RULE, [1j])
         value = cmath.exp(sum(w / chordal_transition(SLIT, t, 1j) for t, w in zip(RULE.nodes, RULE.weights)))
         assert abs(value - cmath.exp(1j - 1j * math.sqrt(3))) <= 1e-12
         assert report.max_abs_err <= 1e-12
@@ -302,8 +302,11 @@ class TestChordalExpElement:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_seeded_points_and_membership(self, seed):
         pts = halfplane_points(20, seed, rect=HALFPLANE_RECT_SAFE)
-        report, membership = chordal_exp_element_check(SLIT, RULE, pts, seed=seed)
+        report = chordal_exp_element_check(SLIT, RULE, pts)
         assert report.passed and report.max_abs_err <= 1e-8
+        kernel = PickSpaceKernel(lambda z: chordal_transition(SLIT, 1.0, z))
+        sets = membership_halfplane_sets((16, 32, 64, 128), seed)
+        membership = membership_test(kernel, chordal_exp_element(SLIT), sets, eps=1e-8)
         assert membership.verdict == BOUNDED
 
 

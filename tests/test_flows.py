@@ -110,6 +110,13 @@ class TestRadial:
         with pytest.raises(ValueError):
             RadialFlowSpec.koebe(0.0, 0.5, backend=RUNGE_KUTTA, ode=OdeConfig(step=0.6))
 
+    @pytest.mark.parametrize("make", [RadialFlowSpec.koebe, ChordalFlowSpec.basic_slit])
+    @pytest.mark.parametrize("end, step", [(1e308, 1e-3), (1.0, 1e-300)], ids=["huge-interval", "tiny-step"])
+    def test_oversized_rk4_grid_rejected(self, make, end, step):
+        with pytest.raises(ValueError, match="MAX_RK4_STEPS"):
+            make(0.0, end, backend=RUNGE_KUTTA, ode=OdeConfig(step))
+        make(0.0, 1.0, backend=RUNGE_KUTTA, ode=OdeConfig(1.0 / flows.MAX_RK4_STEPS))  # the cap itself is allowed
+
     def test_unsorted_breakpoints_rejected(self):
         d = ((0.5, AtomicMeasure.dirac(-1.0)), (0.0, AtomicMeasure.dirac(-1.0)))
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 
 from loewnerkit import (
     BOUNDED,
+    INCONCLUSIVE,
     UNBOUNDED,
     DbrDiskKernel,
     GramMatrix,
@@ -23,6 +24,7 @@ from loewnerkit import (
     radial_transition,
     rkhs_norm_estimate,
 )
+from loewnerkit import kernels
 from loewnerkit.errors import DomainError
 from loewnerkit.representations import DIRAC_MINUS_ONE
 from loewnerkit.sampling import (
@@ -189,8 +191,8 @@ def test_rank_one_factorization_of_elementary_herglotz_kernel():
 class TestNormEstimate:
     def test_zero_values_give_zero(self):
         pts = disk_points(10, 4)
-        assert rkhs_norm_estimate(DbrDiskKernel(_koebe_end), pts, [0.0] * 10) == 0.0
-        assert rkhs_norm_estimate(DbrDiskKernel(_koebe_end), [], []) == 0.0
+        assert rkhs_norm_estimate(DbrDiskKernel(_koebe_end), pts, [0.0] * 10, eps=1e-8) == 0.0
+        assert rkhs_norm_estimate(DbrDiskKernel(_koebe_end), [], [], eps=1e-8) == 0.0
 
     def test_reproducing_column_recovers_diagonal(self):
         spec = DbrDiskKernel(_koebe_end)
@@ -212,7 +214,7 @@ class TestNormEstimate:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            rkhs_norm_estimate(DbrDiskKernel(_koebe_end), disk_points(4, 1), [0.0] * 3)
+            rkhs_norm_estimate(DbrDiskKernel(_koebe_end), disk_points(4, 1), [0.0] * 3, eps=1e-8)
 
 
 class TestMembership:
@@ -244,6 +246,24 @@ class TestMembership:
         half = membership_test(spec, self._log_element, sets, eps=5e-9)
         rel = abs(full.estimates[-1] - half.estimates[-1]) / full.estimates[-1]
         assert full.verdict == BOUNDED and rel < 0.01
+
+    @pytest.mark.parametrize(
+        "estimates, verdict",
+        [
+            ((1.0, 99.0, 99.5, 100.0), BOUNDED),  # spread exactly PLATEAU_RTOL
+            ((1.0, np.nextafter(99.0, 0.0), 99.5, 100.0), INCONCLUSIVE),  # just above, growth about 1x
+            ((1.0, 2.0, 5.0, 20.0), UNBOUNDED),  # exactly GROWTH_RATIO x the 37-point estimate
+            ((1.0, 2.0, 5.0, np.nextafter(20.0, 0.0)), INCONCLUSIVE),
+        ],
+    )
+    def test_verdict_thresholds(self, monkeypatch, estimates, verdict):
+        assert 100.0 - 99.0 == kernels.PLATEAU_RTOL * 100.0 and 20.0 == kernels.GROWTH_RATIO * 2.0
+        sets = membership_disk_sets((16, 32, 64, 128), 1)
+        scripted = dict(zip((19, 37, 71, 137), estimates))
+        monkeypatch.setattr(kernels, "rkhs_norm_estimate", lambda spec, points, values, eps: scripted[len(points)])
+        report = membership_test(DbrDiskKernel(_koebe_end), lambda z: 0.0, sets, eps=1e-8)
+        assert report.point_counts == (19, 37, 71, 137)
+        assert report.estimates == estimates and report.verdict == verdict
 
     def test_non_nested_sets_rejected(self):
         with pytest.raises(ValueError):
