@@ -57,7 +57,6 @@ from .kernels import (
     gram,
     membership_test,
     psd_check,
-    rkhs_norm_estimate,
 )
 from .moebius import cayley_to_disk, cayley_to_halfplane, in_disk, in_halfplane
 from .representations import (

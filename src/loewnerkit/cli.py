@@ -162,12 +162,14 @@ def validate_config(raw: dict) -> SuiteConfig:
         tol = raw["tol"]
         if isinstance(tol, (int, float)) and not isinstance(tol, bool):
             value = _check_number(tol, "tol", minimum=0.0)
-            tols = {name: value for name in SUITES}
+            tols = {name: value for name in SUITES if SUITE_TABLE[name][1] is not None}
         elif isinstance(tol, dict):
             tols = {}
             for key, value in tol.items():
                 if key not in SUITES:
                     _fail(f"tol override names unknown suite {key!r}")
+                if SUITE_TABLE[key][1] is None:
+                    _fail(f"suite {key} takes no tolerance")
                 tols[key] = _check_number(value, f"tol[{key}]", minimum=0.0)
         else:
             _fail("tol must be a number or an object of per-suite numbers")
@@ -237,6 +239,8 @@ def _membership_entry(suite: str, name: str, report, expected: str) -> dict:
         "name": name,
         "point_counts": list(report.point_counts),
         "estimates": list(report.estimates),
+        "eps": report.eps,
+        "min_pivot": report.min_pivot,
         "verdict": report.verdict,
         "expected": expected,
         "pass": report.verdict == expected,
@@ -407,19 +411,10 @@ def _suite_membership(cfg: SuiteConfig):
     def reciprocal_pole(z):
         return 1.0 / (1.0 - z)
 
+    probes = (("koebe-log-element", log_element, BOUNDED), ("reciprocal-pole", reciprocal_pole, UNBOUNDED))
     entries = [
-        _membership_entry(
-            "membership",
-            "koebe-log-element",
-            membership_test(dbr, log_element, sets, MEMBERSHIP_EPS),
-            BOUNDED,
-        ),
-        _membership_entry(
-            "membership",
-            "reciprocal-pole",
-            membership_test(dbr, reciprocal_pole, sets, MEMBERSHIP_EPS),
-            UNBOUNDED,
-        ),
+        _membership_entry("membership", name, membership_test(dbr, func, sets, MEMBERSHIP_EPS), expected)
+        for name, func, expected in probes
     ]
 
     rep = cfg.pick_rep or PickRepresentation(0.0, 1.0, AtomicMeasure.dirac(0.0, math.pi))
@@ -458,7 +453,7 @@ def _suite_pw_reconstruction(cfg: SuiteConfig):
     return [_identity_entry("pw-reconstruction", report)]
 
 
-# Suite name -> (runner, default tolerance).
+# Suite name -> (runner, default tolerance, or None for a suite that reads none).
 SUITE_TABLE = {
     "cayley-isometry": (_suite_cayley_isometry, 1e-10),
     "chordal-derivative": (_suite_chordal_derivative, 1e-5),
@@ -467,7 +462,7 @@ SUITE_TABLE = {
     "herglotz-mixture": (_suite_herglotz_mixture, 1e-12),
     "kernel-psd": (_suite_kernel_psd, 1e-8),
     "koebe-log": (_suite_koebe_log, 1e-8),
-    "membership": (_suite_membership, 0.0),
+    "membership": (_suite_membership, None),
     "nevanlinna-split": (_suite_nevanlinna_split, 1e-12),
     "pw-reconstruction": (_suite_pw_reconstruction, 1e-10),
     "radial-derivative": (_suite_radial_derivative, 1e-5),

@@ -7,7 +7,6 @@ one call.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,16 +146,10 @@ def gram(spec, points) -> GramMatrix:
     return GramMatrix(tuple(pts), spec(pts[:, None], pts[None, :]))
 
 
-def _as_matrix(k) -> np.ndarray:
-    if isinstance(k, GramMatrix):
-        return k.matrix
-    return np.asarray(k, dtype=complex)
-
-
 def psd_check(k, tol: float = 1e-8):
     """Minimum eigenvalue of a Hermitian matrix and whether it passes
     min_eig >= -tol * max(1, max_eig)."""
-    matrix = _as_matrix(k)
+    matrix = k.matrix if isinstance(k, GramMatrix) else np.asarray(k, dtype=complex)
     try:
         eigs = np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as exc:
@@ -166,27 +159,6 @@ def psd_check(k, tol: float = 1e-8):
     return min_eig, min_eig >= -tol * max(1.0, max_eig)
 
 
-def rkhs_norm_estimate(spec, points, values, eps: float) -> float:
-    """Regularized finite-section quadratic form v* (K + eps I)^{-1} v.
-
-    For values sampled from a kernel column k(., lambda) with lambda among
-    the points, the estimate tends to k(lambda, lambda) as eps -> 0.
-    """
-    k = gram(spec, points)
-    v = np.asarray([complex(x) for x in values], dtype=complex)
-    if v.shape[0] != k.size:
-        raise ValueError("values must match points in length")
-    if k.size == 0:
-        return 0.0
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
-    try:
-        x = np.linalg.solve(k.matrix + eps * np.eye(k.size), v)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"linear solve failed: {exc}") from exc
-    return float(np.real(np.vdot(v, x)))
-
-
 @dataclass(frozen=True)
 class MembershipReport:
     """Sequence of finite-section norm estimates with a verdict.
@@ -194,22 +166,40 @@ class MembershipReport:
     The verdict is a numerical heuristic: exact membership cannot be
     certified from finite data.  ``estimates`` are regularized quadratic
     forms (squared-norm scale); ``norm_bound`` is the square root of the
-    final estimate when the verdict is Bounded, else None.
+    final estimate when the verdict is Bounded, else None; ``min_pivot`` is
+    the smallest squared diagonal entry of the Cholesky factor of K + eps I.
     """
 
     point_counts: tuple
     estimates: tuple
     verdict: str
-    norm_bound: float = None
+    norm_bound: float
+    eps: float
+    min_pivot: float
 
 
-def _is_nested(smaller, larger) -> bool:
-    """True if ``smaller`` is a sub-multiset of ``larger`` under exact equality."""
-    return not Counter(smaller) - Counter(larger)
+def _verdict(counts, estimates):
+    """(verdict, norm_bound) from the point counts and estimates of the levels."""
+    tiny = 1e-12
+    if len(estimates) >= 3:
+        last3 = estimates[-3:]
+        top = max(last3)
+        if top <= tiny or (top - min(last3)) <= PLATEAU_RTOL * top:
+            return BOUNDED, math.sqrt(max(estimates[-1], 0.0))
+    half_idx = [i for i, c in enumerate(counts[:-1]) if c <= counts[-1] / 2]
+    j = half_idx[-1] if half_idx else len(counts) - 2
+    if estimates[-1] >= GROWTH_RATIO * max(estimates[j], tiny):
+        return UNBOUNDED, None
+    return INCONCLUSIVE, None
 
 
 def membership_test(spec, func, nested_sets, eps: float) -> MembershipReport:
     """Heuristic RKHS membership decision from nested finite sections.
+
+    Level l's estimate is v* (K_l + eps I)^{-1} v over its n_l points.  The
+    union of the sets is ordered so that every level is a prefix, so one
+    Gram, one ``func`` call per point and one Cholesky factor L of K + eps I
+    serve every level: the estimate is the sum of |y_i|^2, y = L^{-1} v, i < n_l.
 
     Verdict Bounded if the last three estimates agree to ``PLATEAU_RTOL``
     relatively; Unbounded if the estimate grew by ``GROWTH_RATIO`` or more
@@ -222,29 +212,29 @@ def membership_test(spec, func, nested_sets, eps: float) -> MembershipReport:
         raise ValueError("need at least two nested point sets")
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("point counts must be strictly increasing")
-    for smaller, larger in zip(sets, sets[1:]):
-        if not _is_nested(smaller, larger):
-            raise ValueError("point sets must be nested")
-    estimates = []
-    for pts in sets:
-        values = [func(p) for p in pts]
-        estimates.append(rkhs_norm_estimate(spec, pts, values, eps))
-
-    verdict = INCONCLUSIVE
-    norm_bound = None
-    tiny = 1e-12
-    if len(estimates) >= 3:
-        last3 = estimates[-3:]
-        top = max(last3)
-        if top <= tiny or (top - min(last3)) <= PLATEAU_RTOL * top:
-            verdict = BOUNDED
-            norm_bound = math.sqrt(max(estimates[-1], 0.0))
-    if verdict != BOUNDED:
-        half_idx = [i for i, c in enumerate(counts[:-1]) if c <= counts[-1] / 2]
-        j = half_idx[-1] if half_idx else len(counts) - 2
-        if estimates[-1] >= GROWTH_RATIO * max(estimates[j], tiny):
-            verdict = UNBOUNDED
-    return MembershipReport(tuple(counts), tuple(estimates), verdict, norm_bound)
+    if not (eps > 0.0):
+        raise ValueError("eps must be positive")
+    union = {}
+    for s in sets:
+        level = dict.fromkeys(s)
+        if len(level) != len(s) or not union.keys() <= level.keys():
+            raise ValueError("point sets must be nested, without repeated points")
+        union.update(level)  # appends the points this level adds, in its order
+    pts = list(union)
+    v = np.array([complex(func(p)) for p in pts])
+    k = gram(spec, pts).matrix
+    k.flat[:: len(pts) + 1] += eps
+    try:
+        factor = np.linalg.cholesky(k)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"K + eps I is not positive definite at eps = {eps:g}: {exc}") from exc
+    y = np.empty_like(v)
+    for lo, hi in zip([0] + counts, counts):  # forward substitution, one block per level
+        y[lo:hi] = np.linalg.solve(factor[lo:hi, lo:hi], v[lo:hi] - factor[lo:hi, :lo] @ y[:lo])
+    partial = np.concatenate(([0.0], np.cumsum(np.abs(y) ** 2)))
+    estimates = tuple(float(partial[n]) for n in counts)
+    min_pivot = float(np.min(np.diagonal(factor).real)) ** 2
+    return MembershipReport(tuple(counts), estimates, *_verdict(counts, estimates), eps, min_pivot)
 
 
 def diag_bound_scan(spec, compact_sample) -> float:

@@ -68,6 +68,14 @@ class TestValidateConfig:
         assert cfg.tol_for("resolution") == 1e-6
         assert cfg.tol_for("koebe-log") == 1e-8
 
+    def test_membership_takes_no_tolerance(self, capsys):
+        with pytest.raises(ConfigError, match="suite membership takes no tolerance"):
+            validate_config({"suite": "membership", "tol": {"membership": 0.5}})
+        cfg = validate_config({"suite": "all", "tol": 1e-6})
+        assert "membership" not in cfg.tols and cfg.tol_for("resolution") == 1e-6
+        code, out = _run(["run", "--suite", "membership", "--tol", "0.5"], capsys)
+        assert code == 0 and "membership" not in json.loads(out)["config"]["tol"]
+
     def test_pick_rep_schema(self):
         cfg = validate_config(
             {"suite": "nevanlinna-split", "pick_rep": {"b": 0.0, "c": 1.0, "atoms": [[0.0, math.pi]]}}
@@ -246,6 +254,11 @@ class TestRun:
         report = json.loads(out)
         assert dumps_report(report) == out.strip()
 
+    def test_membership_entries_carry_eps_and_min_pivot(self, capsys):
+        _, out = _run(["run", "--suite", "membership", "--seed", "1"], capsys)
+        for entry in json.loads(out)["entries"]:
+            assert entry["eps"] == 1e-8 and 0.0 < entry["min_pivot"] < 1.0
+
     def test_pick_rep_override_used(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -264,6 +277,7 @@ class TestRun:
             ({"suite": "nevanlinna-split", "pick_rep": {"b": 0, "c": 1, "atoms": [[0, -1]]}}, 2),
             ({"suite": "resolution", "a": int("1" * 400)}, 2),
             ({"suite": "resolution", "tol": int("1" * 400)}, 2),
+            ({"suite": "membership", "tol": {"membership": 0.5}}, 2),
             ({"suite": "resolution", "nodes": 100000}, 2),
             ({"suite": ["resolution"]}, 2),
             ({"suite": "all", "a": 0.5, "b": 0.5}, 3),
@@ -273,6 +287,7 @@ class TestRun:
             "pick-negative-weight",
             "huge-int-a",
             "huge-int-tol",
+            "membership-tol",
             "nodes-over-cap",
             "list-suite",
             "a-equals-b",

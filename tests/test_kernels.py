@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loewnerkit import (
     BOUNDED,
@@ -22,10 +24,9 @@ from loewnerkit import (
     membership_test,
     psd_check,
     radial_transition,
-    rkhs_norm_estimate,
 )
 from loewnerkit import kernels
-from loewnerkit.errors import DomainError
+from loewnerkit.errors import DomainError, NumericsError
 from loewnerkit.representations import DIRAC_MINUS_ONE
 from loewnerkit.sampling import (
     disk_pairs,
@@ -188,39 +189,113 @@ def test_rank_one_factorization_of_elementary_herglotz_kernel():
         assert abs(k(z, w) - rank_one) <= 1e-12
 
 
+def _log_element(z):
+    return cmath.log((1.0 - _koebe_end(z)) / (1.0 - z))
+
+
+def _reciprocal_pole(z):
+    return 1.0 / (1.0 - z)
+
+
+def _per_level_oracle(spec, func, sets, eps):
+    """v* (K_l + eps I)^{-1} v by an independent dense solve on every level."""
+    out = []
+    for s in sets:
+        k = np.array([[spec(z, w) for w in s] for z in s], dtype=complex)
+        v = np.array([func(p) for p in s], dtype=complex)
+        out.append(float(np.real(np.vdot(v, np.linalg.solve(k + eps * np.eye(len(s)), v)))))
+    return out
+
+
 class TestNormEstimate:
+    """The regularized finite-section estimates v* (K_l + eps I)^{-1} v of membership_test."""
+
     def test_zero_values_give_zero(self):
         pts = disk_points(10, 4)
-        assert rkhs_norm_estimate(DbrDiskKernel(_koebe_end), pts, [0.0] * 10, eps=1e-8) == 0.0
-        assert rkhs_norm_estimate(DbrDiskKernel(_koebe_end), [], [], eps=1e-8) == 0.0
+        report = membership_test(DbrDiskKernel(_koebe_end), lambda z: 0.0, [[], pts[:5], pts], eps=1e-8)
+        assert report.point_counts == (0, 5, 10) and report.estimates == (0.0, 0.0, 0.0)
 
     def test_reproducing_column_recovers_diagonal(self):
         spec = DbrDiskKernel(_koebe_end)
         pts = disk_points(12, 9)
         lam = pts[4]
-        values = [spec(p, lam) for p in pts]
-        est = rkhs_norm_estimate(spec, pts, values, eps=1e-12)
-        assert abs(est - spec(lam, lam).real) <= 1e-6
+        report = membership_test(spec, lambda p: spec(p, lam), nested_prefix_sets(pts, [6, 12]), eps=1e-12)
+        for est in report.estimates:
+            assert abs(est - spec(lam, lam).real) <= 1e-6
 
     def test_monotone_in_nested_sets_for_fixed_eps(self):
-        spec = DbrDiskKernel(_koebe_end)
-
-        def member(z):
-            return cmath.log((1.0 - _koebe_end(z)) / (1.0 - z))
-
         sets = nested_prefix_sets(disk_points(64, 5), [8, 16, 32, 64])
-        ests = [rkhs_norm_estimate(spec, s, [member(p) for p in s], eps=1e-8) for s in sets]
+        ests = membership_test(DbrDiskKernel(_koebe_end), _log_element, sets, eps=1e-8).estimates
         assert all(b >= a - 1e-8 for a, b in zip(ests, ests[1:]))
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            rkhs_norm_estimate(DbrDiskKernel(_koebe_end), disk_points(4, 1), [0.0] * 3, eps=1e-8)
+    @pytest.mark.parametrize("func, rtol", [(_log_element, 1e-10), (_reciprocal_pole, 1e-6)], ids=["log", "pole"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_estimates_match_per_level_solve(self, func, rtol, seed):
+        spec = DbrDiskKernel(_koebe_end)
+        sets = membership_disk_sets((16, 32, 64, 128), seed)
+        report = membership_test(spec, func, sets, eps=1e-8)
+        for est, ref in zip(report.estimates, _per_level_oracle(spec, func, sets, 1e-8), strict=True):
+            assert abs(est - ref) <= rtol * abs(ref)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_permuting_each_set_leaves_estimates_unchanged(self, data):
+        spec = DbrDiskKernel(_koebe_end)
+        sets = membership_disk_sets((8, 16, 32), 2)
+        shuffled = [data.draw(st.permutations(s)) for s in sets]
+        ref = membership_test(spec, _log_element, sets, eps=1e-8).estimates
+        got = membership_test(spec, _log_element, shuffled, eps=1e-8).estimates
+        for a, b in zip(got, ref, strict=True):
+            assert abs(a - b) <= 1e-9 * abs(b)
+
+    def test_one_gram_one_cholesky_one_func_call_per_point(self, monkeypatch):
+        calls = {"gram": 0, "cholesky": 0}
+        mapped = []
+        real_gram, real_cholesky = kernels.gram, np.linalg.cholesky
+
+        def counting_gram(spec, points):
+            calls["gram"] += 1
+            return real_gram(spec, points)
+
+        def counting_cholesky(a):
+            calls["cholesky"] += 1
+            return real_cholesky(a)
+
+        def func(z):
+            mapped.append(z)
+            return _log_element(z)
+
+        monkeypatch.setattr(kernels, "gram", counting_gram)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        sets = membership_disk_sets((16, 32, 64, 128), 1)
+        membership_test(DbrDiskKernel(_koebe_end), func, sets, eps=1e-8)
+        assert calls == {"gram": 1, "cholesky": 1}
+        assert len(mapped) == len(set(mapped)) and set(mapped) == {complex(p) for s in sets for p in s}
+
+    def test_report_carries_eps_and_min_pivot(self):
+        spec = DbrDiskKernel(_koebe_end)
+        sets = membership_disk_sets((16, 32, 64), 1)
+        report = membership_test(spec, _reciprocal_pole, sets, eps=1e-8)
+        # Every pivot of K + eps I is at least its smallest eigenvalue, about eps.
+        assert report.eps == 1e-8
+        assert 0.5e-8 <= report.min_pivot <= diag_bound_scan(spec, sets[-1]) + 1e-8
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan")])
+    def test_nonpositive_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            membership_test(DbrDiskKernel(_koebe_end), lambda z: 0.0, membership_disk_sets((8, 16), 1), eps=eps)
+
+    def test_indefinite_kernel_raises_numerics_error_naming_eps(self):
+        def indefinite(z, w):
+            # Hermitian with diagonal 0.5, but cos(3x - 3y) - 1/2 has negative eigenvalues.
+            return np.cos(3.0 * np.real(z - np.conjugate(w))) - 0.5
+
+        sets = nested_prefix_sets(rect_points(16, 1, (-1.0, 1.0, -0.35, 0.35)), [8, 16])
+        with pytest.raises(NumericsError, match="eps = 1e-08"):
+            membership_test(indefinite, lambda z: 1.0, sets, eps=1e-8)
 
 
 class TestMembership:
-    def _log_element(self, z):
-        return cmath.log((1.0 - _koebe_end(z)) / (1.0 - z))
-
     def test_zero_function_bounded_with_zero_norm(self):
         sets = membership_disk_sets((16, 32, 64), 1)
         report = membership_test(DbrDiskKernel(_koebe_end), lambda z: 0.0, sets, eps=1e-8)
@@ -229,21 +304,21 @@ class TestMembership:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_log_element_bounded(self, seed):
         sets = membership_disk_sets((16, 32, 64, 128), seed)
-        report = membership_test(DbrDiskKernel(_koebe_end), self._log_element, sets, eps=1e-8)
+        report = membership_test(DbrDiskKernel(_koebe_end), _log_element, sets, eps=1e-8)
         assert report.verdict == BOUNDED
         assert all(b >= a - 1e-8 for a, b in zip(report.estimates, report.estimates[1:]))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_reciprocal_pole_unbounded(self, seed):
         sets = membership_disk_sets((16, 32, 64, 128), seed)
-        report = membership_test(DbrDiskKernel(_koebe_end), lambda z: 1.0 / (1.0 - z), sets, eps=1e-8)
+        report = membership_test(DbrDiskKernel(_koebe_end), _reciprocal_pole, sets, eps=1e-8)
         assert report.verdict == UNBOUNDED
 
     def test_halving_eps_moves_bounded_estimate_less_than_one_percent(self):
         sets = membership_disk_sets((16, 32, 64, 128), 1)
         spec = DbrDiskKernel(_koebe_end)
-        full = membership_test(spec, self._log_element, sets, eps=1e-8)
-        half = membership_test(spec, self._log_element, sets, eps=5e-9)
+        full = membership_test(spec, _log_element, sets, eps=1e-8)
+        half = membership_test(spec, _log_element, sets, eps=5e-9)
         rel = abs(full.estimates[-1] - half.estimates[-1]) / full.estimates[-1]
         assert full.verdict == BOUNDED and rel < 0.01
 
@@ -256,14 +331,22 @@ class TestMembership:
             ((1.0, 2.0, 5.0, np.nextafter(20.0, 0.0)), INCONCLUSIVE),
         ],
     )
-    def test_verdict_thresholds(self, monkeypatch, estimates, verdict):
+    def test_verdict_thresholds(self, estimates, verdict):
         assert 100.0 - 99.0 == kernels.PLATEAU_RTOL * 100.0 and 20.0 == kernels.GROWTH_RATIO * 2.0
+        assert kernels._verdict((19, 37, 71, 137), estimates)[0] == verdict
+
+    def test_verdict_comes_from_the_threshold_helper(self, monkeypatch):
+        seen = []
+
+        def scripted(counts, estimates):
+            seen.append((tuple(counts), tuple(estimates)))
+            return INCONCLUSIVE, None
+
+        monkeypatch.setattr(kernels, "_verdict", scripted)
         sets = membership_disk_sets((16, 32, 64, 128), 1)
-        scripted = dict(zip((19, 37, 71, 137), estimates))
-        monkeypatch.setattr(kernels, "rkhs_norm_estimate", lambda spec, points, values, eps: scripted[len(points)])
-        report = membership_test(DbrDiskKernel(_koebe_end), lambda z: 0.0, sets, eps=1e-8)
-        assert report.point_counts == (19, 37, 71, 137)
-        assert report.estimates == estimates and report.verdict == verdict
+        report = membership_test(DbrDiskKernel(_koebe_end), _log_element, sets, eps=1e-8)
+        assert seen == [(report.point_counts, report.estimates)]
+        assert report.point_counts == (19, 37, 71, 137) and report.verdict == INCONCLUSIVE
 
     def test_non_nested_sets_rejected(self):
         with pytest.raises(ValueError):
@@ -274,6 +357,11 @@ class TestMembership:
                 eps=1e-8,
             )
 
+    def test_repeated_point_rejected(self):
+        pts = disk_points(8, 1)
+        for sets in ([pts[:4], pts + [pts[0]]], [pts[:4], pts[:7] + [pts[6] + 1e-12]]):
+            with pytest.raises(ValueError):
+                membership_test(DbrDiskKernel(_koebe_end), lambda z: 0.0, sets, eps=1e-8)
 
 class TestDiagBoundScan:
     def test_identity_map_gives_one(self):
