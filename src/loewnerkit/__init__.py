@@ -47,13 +47,11 @@ from .kernels import (
     INCONCLUSIVE,
     UNBOUNDED,
     DbrDiskKernel,
-    GramMatrix,
     HerglotzSpaceKernel,
     LoewnerTimeKernel,
     MembershipReport,
     PaleyWienerKernel,
     PickSpaceKernel,
-    diag_bound_scan,
     gram,
     membership_test,
     psd_check,

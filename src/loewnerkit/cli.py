@@ -9,6 +9,7 @@ reports apart from the wall-clock field.
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -20,7 +21,6 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, FlowEscapeError, LoewnerkitError
 from .expansions import (
-    IdentityReport,
     cayley_isometry_check,
     chordal_derivative_identity_check,
     chordal_exp_element,
@@ -78,6 +78,8 @@ MAX_NODES = 1024
 MAX_TRACE_SAMPLES = 10**6
 MEMBERSHIP_SIZES = (16, 32, 64, 128)
 MEMBERSHIP_EPS = 1e-8
+# Finite-difference step of the derivative suites.
+DERIVATIVE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -250,49 +252,46 @@ def _membership_entry(suite: str, name: str, report, expected: str) -> dict:
     return entry
 
 
-def _koebe_b_end(cfg):
-    flow = RadialFlowSpec.koebe(cfg.a, cfg.b)
+def _koebe_b_end(a: float, b: float):
+    flow = RadialFlowSpec.koebe(a, b)
 
     def b_end(z):
-        return radial_transition(flow, cfg.b, z)
+        return radial_transition(flow, b, z)
 
     return flow, b_end
 
 
-def _pick_phi(w):
+def pick_phi(w):
     return w - 1.0 / w
 
 
-def _pick_psi(z):
-    return cayley_to_disk(_pick_phi(cayley_to_halfplane(z)))
+def pick_psi(z):
+    return cayley_to_disk(pick_phi(cayley_to_halfplane(z)))
+
+
+def kernel_catalog(a: float, b: float):
+    """The kernel-psd catalog for the flow interval [a, b]: rows of (name,
+    kernel, sampler), where sampler(seed) draws the kernel's 8 points."""
+    flow, b_end = _koebe_b_end(a, b)
+    disk = functools.partial(disk_points, 8)
+    return (
+        ("dbr-koebe", DbrDiskKernel(b_end), disk),
+        ("herglotz-phi-minus-one", HerglotzSpaceKernel(lambda z: (1.0 - z) / (1.0 + z)), disk),
+        ("pick-cayley-image", PickSpaceKernel(pick_phi), functools.partial(halfplane_points, 8)),
+        ("paley-wiener", PaleyWienerKernel(1.0), lambda seed: rect_points(8, seed, (-1.0, 1.0, -0.35, 0.35))),
+        ("loewner-time", LoewnerTimeKernel(flow, 0.5 * (a + b)), disk),
+    )
 
 
 def _suite_kernel_psd(cfg: SuiteConfig):
     tol = cfg.tol_for("kernel-psd")
-    flow, b_end = _koebe_b_end(cfg)
-    mid_t = 0.5 * (cfg.a + cfg.b)
-    catalog = (
-        ("dbr-koebe", DbrDiskKernel(b_end), "disk"),
-        ("herglotz-phi-minus-one", HerglotzSpaceKernel(lambda z: (1.0 - z) / (1.0 + z)), "disk"),
-        ("pick-cayley-image", PickSpaceKernel(_pick_phi), "halfplane"),
-        ("paley-wiener", PaleyWienerKernel(1.0), "plane"),
-        ("loewner-time", LoewnerTimeKernel(flow, mid_t), "disk"),
-    )
     entries = []
-    for name, spec, domain in catalog:
+    for name, spec, sample in kernel_catalog(cfg.a, cfg.b):
         worst = math.inf
         passed = True
         for offset in range(5):
-            seed = cfg.seed + offset
-            if domain == "disk":
-                pts = disk_points(8, seed)
-            elif domain == "halfplane":
-                pts = halfplane_points(8, seed)
-            else:
-                pts = rect_points(8, seed, (-1.0, 1.0, -0.35, 0.35))
-            matrix = gram(spec, pts).matrix
+            matrix = gram(spec, sample(cfg.seed + offset))
             if cfg.corrupt_psd:
-                matrix = matrix.copy()
                 matrix[0, 0] = -matrix[0, 0]  # test hook: negate one entry
             min_eig, ok = psd_check(matrix, tol)
             worst = min(worst, min_eig)
@@ -313,39 +312,38 @@ def _suite_kernel_psd(cfg: SuiteConfig):
 
 
 def _suite_resolution(cfg: SuiteConfig):
-    flow, _ = _koebe_b_end(cfg)
+    flow = RadialFlowSpec.koebe(cfg.a, cfg.b)
     rule = gauss_legendre(cfg.nodes, cfg.a, cfg.b)
     pairs = disk_pairs(10, cfg.seed, rmax=DISK_RMAX_SAFE)
     return [_identity_entry("resolution", resolution_check(flow, rule, pairs, cfg.tol_for("resolution")))]
 
 
-def _derivative_suite(cfg: SuiteConfig, suite: str, flow, pairs, check):
-    """Worst finite-difference error of ``check`` over ``pairs``, the i-th
-    pair at the i-th of len(pairs) times spread over [a + h, b - h]."""
-    tol = cfg.tol_for(suite)
-    h = 1e-4
+def _derivative_times(cfg: SuiteConfig, n: int):
+    """n times spread evenly over [a + h, b - h], h = DERIVATIVE_STEP: the
+    i-th at the middle of the i-th of n equal cells."""
+    h = DERIVATIVE_STEP
     span = max(cfg.b - cfg.a - 2.0 * h, 0.0)
-    max_err = 0.0
-    for i, (lam, z) in enumerate(pairs):
-        t = cfg.a + h + span * (i + 0.5) / len(pairs)
-        max_err = max(max_err, check(flow, t, lam, z, h, tol).max_abs_err)
-    return [_identity_entry(suite, IdentityReport(suite, len(pairs), max_err, tol, max_err <= tol))]
+    return cfg.a + h + span * (np.arange(n) + 0.5) / n
 
 
 def _suite_radial_derivative(cfg: SuiteConfig):
-    pairs = disk_pairs(20, cfg.seed, rmax=DISK_RMAX_SAFE)
+    lam, z = np.transpose(disk_pairs(20, cfg.seed, rmax=DISK_RMAX_SAFE))
     flow = RadialFlowSpec.koebe(cfg.a, cfg.b)
-    return _derivative_suite(cfg, "radial-derivative", flow, pairs, radial_derivative_identity_check)
+    times = _derivative_times(cfg, len(z))
+    report = radial_derivative_identity_check(flow, times, lam, z, DERIVATIVE_STEP, cfg.tol_for("radial-derivative"))
+    return [_identity_entry("radial-derivative", report)]
 
 
 def _suite_chordal_derivative(cfg: SuiteConfig):
-    pairs = halfplane_pairs(20, cfg.seed, rect=HALFPLANE_RECT_SAFE)
+    alpha, z = np.transpose(halfplane_pairs(20, cfg.seed, rect=HALFPLANE_RECT_SAFE))
     flow = ChordalFlowSpec.basic_slit(cfg.a, cfg.b)
-    return _derivative_suite(cfg, "chordal-derivative", flow, pairs, chordal_derivative_identity_check)
+    times = _derivative_times(cfg, len(z))
+    report = chordal_derivative_identity_check(flow, times, alpha, z, DERIVATIVE_STEP, cfg.tol_for("chordal-derivative"))
+    return [_identity_entry("chordal-derivative", report)]
 
 
 def _suite_koebe_log(cfg: SuiteConfig):
-    flow, _ = _koebe_b_end(cfg)
+    flow = RadialFlowSpec.koebe(cfg.a, cfg.b)
     rule = gauss_legendre(cfg.nodes, cfg.a, cfg.b)
     pts = disk_points(20, cfg.seed, rmax=DISK_RMAX_SAFE)
     return [_identity_entry("koebe-log", koebe_log_element_check(flow, rule, pts, cfg.tol_for("koebe-log")))]
@@ -354,7 +352,7 @@ def _suite_koebe_log(cfg: SuiteConfig):
 def _suite_cayley_isometry(cfg: SuiteConfig):
     pairs = disk_pairs(10, cfg.seed, rmax=DISK_RMAX_SAFE)
     gram_pts = disk_points(6, cfg.seed + 100, rmax=DISK_RMAX_SAFE)
-    report = cayley_isometry_check(_pick_psi, pairs, gram_pts, cfg.tol_for("cayley-isometry"))
+    report = cayley_isometry_check(pick_psi, pairs, gram_pts, cfg.tol_for("cayley-isometry"))
     return [_identity_entry("cayley-isometry", report)]
 
 
@@ -401,7 +399,7 @@ def _suite_chordal_exp_element(cfg: SuiteConfig):
 
 
 def _suite_membership(cfg: SuiteConfig):
-    flow, b_end = _koebe_b_end(cfg)
+    flow, b_end = _koebe_b_end(cfg.a, cfg.b)
     sets = membership_disk_sets(MEMBERSHIP_SIZES, cfg.seed)
     dbr = DbrDiskKernel(b_end)
 
@@ -553,6 +551,8 @@ def _emit(obj, out):
 def _run_trace(args) -> int:
     try:
         z = complex(float(args.z_re), float(args.z_im))
+        if args.step is not None and args.backend != RUNGE_KUTTA:
+            raise ConfigError("--step applies to --backend rk4 only")
         ode = OdeConfig(args.step) if args.step is not None else OdeConfig()
         if args.flow == "koebe":
             flow = RadialFlowSpec.koebe(args.a, args.b, backend=args.backend, ode=ode)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import BranchCutError
 from .flows import ChordalFlowSpec, RadialFlowSpec, chordal_transition, radial_transition
-from .kernels import DbrDiskKernel, LoewnerTimeKernel, PaleyWienerKernel, PickSpaceKernel, gram
+from .kernels import DbrDiskKernel, PaleyWienerKernel, PickSpaceKernel, gram
 from .moebius import cayley_to_disk, cayley_to_halfplane, require_disk, require_halfplane
 from .representations import AtomicMeasure, PickRepresentation, herglotz_eval, pick_eval
 
@@ -116,6 +116,17 @@ def _node_and_end_table(transition, flow, end: float, rule: QuadratureRule, firs
     return (table[:-1, :p], table[:-1, p:]), (table[-1, :p], table[-1, p:])
 
 
+def _driver_herglotz(flow: RadialFlowSpec, t, w):
+    """phi(t, w): the Herglotz function of the flow's driver measure at time
+    t, evaluated at w; t and w broadcast together."""
+    t, w = np.broadcast_arrays(t, w)
+    out = np.empty(w.shape, dtype=complex)
+    for s in np.unique(t):
+        at = t == s
+        out[at] = herglotz_eval(flow.driver_measure(s), w[at])
+    return out
+
+
 def resolution_check(flow: RadialFlowSpec, rule: QuadratureRule, point_pairs, tol: float = 1e-8) -> IdentityReport:
     """Continuous resolution of the de Branges-Rovnyak kernel along a radial
     flow: 1 + integral of conj(B_t(lam)) B_t(mu) k(t, mu, lam) dt equals
@@ -123,52 +134,60 @@ def resolution_check(flow: RadialFlowSpec, rule: QuadratureRule, point_pairs, to
     the time-t kernel of ``LoewnerTimeKernel``."""
     lam, mu = (require_disk(c) for c in _columns(point_pairs))
     (b_lam, b_mu), (end_lam, end_mu) = _node_and_end_table(radial_transition, flow, flow.b, rule, lam, mu)
-    measures = [flow.driver_measure(t) for t in rule.nodes]
-    phi_lam, phi_mu = (np.array([herglotz_eval(m, row) for m, row in zip(measures, b)]) for b in (b_lam, b_mu))
+    nodes = rule.nodes[:, None]
+    phi_lam, phi_mu = (_driver_herglotz(flow, nodes, b) for b in (b_lam, b_mu))
     denom = 1.0 - lam.conjugate() * mu
     lhs = 1.0 + _integral(rule, b_lam.conjugate() * b_mu * (phi_lam.conjugate() + phi_mu) / denom)
     rhs = (1.0 - end_lam.conjugate() * end_mu) / denom
     return _report("resolution", len(point_pairs), np.abs(lhs - rhs), tol)
 
 
-def radial_derivative_identity_check(flow: RadialFlowSpec, t: float, lam: complex, z: complex, h: float = 1e-4, tol: float = 1e-5) -> IdentityReport:
-    """d/dt of the normalized kernel quotient (1 - conj(B_t(lam)) B_t(z)) /
-    (1 - conj(lam) z) against k(t, z, lam) conj(B_t(lam)) B_t(z), by central
-    finite difference; the error is relative with denominator max(1, |RHS|)."""
+def _fd_tables(transition, flow, lo: float, hi: float, t, first, second, h: float):
+    """Flat t, first and second, broadcast together, and the two (3, p)
+    tables of B at t - h, t and t + h for the two point columns, from one
+    (3, 2p) transition table."""
     if not (h > 0.0):
         raise ValueError("h must be positive")
-    if t - h < flow.a or t + h > flow.b:
-        raise ValueError(f"step h = {h} too large: [t-h, t+h] must stay in [{flow.a}, {flow.b}]")
-    lam, z = require_disk(lam), require_disk(z)
-    table = radial_transition(flow, np.array([t - h, t, t + h])[:, None], np.array([lam, z]))
-    quotient = (1.0 - table[:, 0].conjugate() * table[:, 1]) / (1.0 - lam.conjugate() * z)
+    t, first, second = (np.reshape(v, -1) for v in np.broadcast_arrays(np.asarray(t, dtype=float), first, second))
+    if np.any(t - h < lo) or np.any(t + h > hi):
+        raise ValueError(f"step h = {h} too large: [t-h, t+h] must stay in [{lo}, {hi}]")
+    times = t + np.array([-h, 0.0, h])[:, None]
+    table = transition(flow, np.tile(times, 2), np.concatenate([first, second]))
+    p = len(t)
+    return t, first, second, table[:, :p], table[:, p:]
+
+
+def radial_derivative_identity_check(flow: RadialFlowSpec, t, lam, z, h: float = 1e-4, tol: float = 1e-5) -> IdentityReport:
+    """d/dt of the normalized kernel quotient (1 - conj(B_t(lam)) B_t(z)) /
+    (1 - conj(lam) z) against k(t, z, lam) conj(B_t(lam)) B_t(z), by central
+    finite difference; the error is relative with denominator max(1, |RHS|).
+
+    ``t``, ``lam`` and ``z`` are scalars or arrays that broadcast together;
+    each of their p broadcast triples is one sample pair."""
+    t, lam, z, b_lam, b_z = _fd_tables(radial_transition, flow, flow.a, flow.b, t, require_disk(lam), require_disk(z), h)
+    denom = 1.0 - lam.conjugate() * z
+    quotient = (1.0 - b_lam.conjugate() * b_z) / denom
     fd = (quotient[2] - quotient[0]) / (2.0 * h)
-    b_lam, b_z = table[1]
-    rhs = LoewnerTimeKernel(flow, t)(z, lam) * b_lam.conjugate() * b_z
-    rel = abs(fd - rhs) / max(1.0, abs(rhs))
-    return _report("radial-derivative", 1, rel, tol)
+    kernel = (_driver_herglotz(flow, t, b_lam[1]).conjugate() + _driver_herglotz(flow, t, b_z[1])) / denom
+    rhs = kernel * b_lam[1].conjugate() * b_z[1]
+    return _report("radial-derivative", len(t), np.abs(fd - rhs) / np.maximum(1.0, np.abs(rhs)), tol)
 
 
-def chordal_derivative_identity_check(flow: ChordalFlowSpec, t: float, alpha: complex, z: complex, h: float = 1e-4, tol: float = 1e-5) -> IdentityReport:
+def chordal_derivative_identity_check(flow: ChordalFlowSpec, t, alpha, z, h: float = 1e-4, tol: float = 1e-5) -> IdentityReport:
     """d/dt of the Pick kernel quotient (B_t(z) - conj(B_t(alpha))) /
     (z - conj(alpha)) against the same quotient divided by
     conj(B_t(alpha)) B_t(z), by central finite difference (relative error).
+    ``t``, ``alpha`` and ``z`` broadcast together as in
+    ``radial_derivative_identity_check``.
 
     Neither denominator can vanish for alpha, z in H: Im(z - conj(alpha)) > 0,
     and B_t maps into H.
     """
-    if not (h > 0.0):
-        raise ValueError("h must be positive")
-    if t - h < flow.r or t + h > flow.s:
-        raise ValueError(f"step h = {h} too large: [t-h, t+h] must stay in [{flow.r}, {flow.s}]")
-    alpha, z = require_halfplane(alpha), require_halfplane(z)
-    table = chordal_transition(flow, np.array([t - h, t, t + h])[:, None], np.array([alpha, z]))
-    quotient = (table[:, 1] - table[:, 0].conjugate()) / (z - alpha.conjugate())
+    t, alpha, z, b_alpha, b_z = _fd_tables(chordal_transition, flow, flow.r, flow.s, t, require_halfplane(alpha), require_halfplane(z), h)
+    quotient = (b_z - b_alpha.conjugate()) / (z - alpha.conjugate())
     fd = (quotient[2] - quotient[0]) / (2.0 * h)
-    b_alpha, b_z = table[1]
-    rhs = quotient[1] / (b_alpha.conjugate() * b_z)
-    rel = abs(fd - rhs) / max(1.0, abs(rhs))
-    return _report("chordal-derivative", 1, rel, tol)
+    rhs = quotient[1] / (b_alpha[1].conjugate() * b_z[1])
+    return _report("chordal-derivative", len(t), np.abs(fd - rhs) / np.maximum(1.0, np.abs(rhs)), tol)
 
 
 def dbr_element(flow: RadialFlowSpec, h, lam: complex, rule: QuadratureRule):
@@ -253,8 +272,8 @@ def cayley_isometry_check(psi, point_pairs, gram_points, tol: float = 1e-10) -> 
     psi_pts = psi(pts)
     if np.any(np.abs(1.0 - psi_pts) <= 1e-12):
         raise ValueError("psi value 1 degeneracy at a Gram point")
-    dbr = gram(DbrDiskKernel(psi), pts).matrix
-    pick = gram(PickSpaceKernel(phi), cayley_to_halfplane(pts)).matrix
+    dbr = gram(DbrDiskKernel(psi), pts)
+    pick = gram(PickSpaceKernel(phi), cayley_to_halfplane(pts))
     c = (1.0 - psi_pts.conjugate()) / (1.0 - pts.conjugate())
     mapped = np.conj(c)[:, None] * pick * c[None, :]
     gram_err = np.max(np.abs(mapped - dbr), initial=0.0)

@@ -101,57 +101,33 @@ class LoewnerTimeKernel:
         return (phi_w.conjugate() + phi_z) / (1.0 - w.conjugate() * z)
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Hermitian matrix of kernel evaluations over a finite point set."""
-
-    points: tuple
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.matrix, dtype=complex)
-        if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] != len(self.points):
-            raise ValueError("matrix must be square and match the point count")
-        scale = max(1.0, float(np.max(np.abs(k))) if k.size else 1.0)
-        if float(np.max(np.abs(k - k.conj().T), initial=0.0)) > HERMITIAN_TOL * scale:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        diag = np.diagonal(k)
-        if float(np.max(np.abs(diag.imag), initial=0.0)) > HERMITIAN_TOL * scale:
-            raise ValueError("diagonal must be real")
-        if float(np.min(diag.real, initial=0.0)) < -HERMITIAN_TOL * scale:
-            raise ValueError("diagonal must be nonnegative")
-        object.__setattr__(self, "matrix", k)
-        object.__setattr__(self, "points", tuple(complex(p) for p in self.points))
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    def to_json_dict(self) -> dict:
-        """Row-major re/im pairs for offline inspection."""
-        return {
-            "points": [[p.real, p.imag] for p in self.points],
-            "entries": [[[v.real, v.imag] for v in row] for row in self.matrix.tolist()],
-        }
-
-
-def gram(spec, points) -> GramMatrix:
-    """Gram matrix K[i][j] = k(z_i, z_j) over pairwise-distinct points, from
-    one kernel call on the broadcast column and row of the points."""
+def gram(spec, points) -> np.ndarray:
+    """Hermitian matrix K[i][j] = k(z_i, z_j) over pairwise-distinct points,
+    from one kernel call on the broadcast column and row of the points;
+    ValueError when K is not Hermitian or has a negative diagonal entry,
+    within ``HERMITIAN_TOL`` relative to max(1, max |K|)."""
     pts = np.asarray(points, dtype=complex).reshape(-1)
     close = np.abs(pts[:, None] - pts[None, :]) < DUPLICATE_TOL
     i, j = np.nonzero(np.triu(close, 1))
     if i.size:
         raise ValueError(f"points {i[0]} and {j[0]} coincide within {DUPLICATE_TOL}")
-    return GramMatrix(tuple(pts), spec(pts[:, None], pts[None, :]))
+    k = np.asarray(spec(pts[:, None], pts[None, :]), dtype=complex)
+    if k.shape != (len(pts), len(pts)):
+        raise ValueError("matrix must be square and match the point count")
+    scale = max(1.0, float(np.max(np.abs(k))) if k.size else 1.0)
+    if float(np.max(np.abs(k - k.conj().T), initial=0.0)) > HERMITIAN_TOL * scale:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    # A Hermitian K has a real diagonal: |Im K[i][i]| is half |K - K^H| there.
+    if float(np.min(np.diagonal(k).real, initial=0.0)) < -HERMITIAN_TOL * scale:
+        raise ValueError("diagonal must be nonnegative")
+    return k
 
 
 def psd_check(k, tol: float = 1e-8):
     """Minimum eigenvalue of a Hermitian matrix and whether it passes
     min_eig >= -tol * max(1, max_eig)."""
-    matrix = k.matrix if isinstance(k, GramMatrix) else np.asarray(k, dtype=complex)
     try:
-        eigs = np.linalg.eigvalsh(matrix)
+        eigs = np.linalg.eigvalsh(np.asarray(k, dtype=complex))
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigensolver failed: {exc}") from exc
     min_eig = float(eigs[0])
@@ -222,7 +198,7 @@ def membership_test(spec, func, nested_sets, eps: float) -> MembershipReport:
         union.update(level)  # appends the points this level adds, in its order
     pts = list(union)
     v = np.array([complex(func(p)) for p in pts])
-    k = gram(spec, pts).matrix
+    k = gram(spec, pts)
     k.flat[:: len(pts) + 1] += eps
     try:
         factor = np.linalg.cholesky(k)
@@ -235,11 +211,3 @@ def membership_test(spec, func, nested_sets, eps: float) -> MembershipReport:
     estimates = tuple(float(partial[n]) for n in counts)
     min_pivot = float(np.min(np.diagonal(factor).real)) ** 2
     return MembershipReport(tuple(counts), estimates, *_verdict(counts, estimates), eps, min_pivot)
-
-
-def diag_bound_scan(spec, compact_sample) -> float:
-    """Max of k(z, z) over a sample from a compact subset of the domain."""
-    pts = np.asarray(compact_sample, dtype=complex).reshape(-1)
-    if not pts.size:
-        raise ValueError("sample must be nonempty")
-    return float(np.max(spec(pts, pts).real))

@@ -9,7 +9,6 @@ import math
 import re
 
 import numpy as np
-import pytest
 
 from loewnerkit import (
     BOUNDED,
@@ -17,11 +16,8 @@ from loewnerkit import (
     AtomicMeasure,
     ChordalFlowSpec,
     DbrDiskKernel,
-    HerglotzSpaceKernel,
-    LoewnerTimeKernel,
     PaleyWienerKernel,
     PickRepresentation,
-    PickSpaceKernel,
     RadialFlowSpec,
     cayley_isometry_check,
     cayley_to_disk,
@@ -32,7 +28,6 @@ from loewnerkit import (
     chordal_transition,
     gauss_legendre,
     gram,
-    herglotz_atom,
     koebe_log_element_check,
     herglotz_mixture_check,
     membership_test,
@@ -45,7 +40,7 @@ from loewnerkit import (
     radial_transition,
     resolution_check,
 )
-from loewnerkit.cli import main
+from loewnerkit.cli import MEMBERSHIP_EPS, MEMBERSHIP_SIZES, kernel_catalog, main, pick_psi
 from loewnerkit.flows import RUNGE_KUTTA
 from loewnerkit.sampling import (
     DISK_RMAX_SAFE,
@@ -62,20 +57,10 @@ from loewnerkit.sampling import (
 KOEBE = RadialFlowSpec.koebe(0.0, 1.0)
 SLIT = ChordalFlowSpec.basic_slit(0.0, 1.0)
 RULE64 = gauss_legendre(64, 0.0, 1.0)
-MEMBERSHIP_SIZES = (16, 32, 64, 128)
-MEMBERSHIP_EPS = 1e-8
 
 
 def _koebe_end(z):
     return radial_transition(KOEBE, 1.0, z)
-
-
-def _pick_phi(w):
-    return w - 1.0 / w
-
-
-def _pick_psi(z):
-    return cayley_to_disk(_pick_phi(cayley_to_halfplane(z)))
 
 
 def _record(number, label, ok):
@@ -84,23 +69,10 @@ def _record(number, label, ok):
 
 
 def test_criterion_1_psd_suite():
-    catalog = [
-        ("dbr(koebe B1)", DbrDiskKernel(_koebe_end), "disk"),
-        ("herglotz(phi_-1)", HerglotzSpaceKernel(lambda z: herglotz_atom(-1.0, z)), "disk"),
-        ("pick(z - 1/z)", PickSpaceKernel(_pick_phi), "halfplane"),
-        ("paley-wiener(A=1)", PaleyWienerKernel(1.0), "plane"),
-        ("loewner-time(t=0.5)", LoewnerTimeKernel(KOEBE, 0.5), "disk"),
-    ]
     ok = True
-    for _, spec, domain in catalog:
+    for _, spec, sample in kernel_catalog(0.0, 1.0):
         for seed in (1, 2, 3, 4, 5):
-            if domain == "disk":
-                pts = disk_points(8, seed)
-            elif domain == "halfplane":
-                pts = halfplane_points(8, seed)
-            else:
-                pts = rect_points(8, seed, (-1.0, 1.0, -0.35, 0.35))
-            _, passed = psd_check(gram(spec, pts), tol=1e-8)
+            _, passed = psd_check(gram(spec, sample(seed)), tol=1e-8)
             ok = ok and passed
     _record(1, "8x8 Grams of all five catalog kernels PSD on 5 seeds (tol 1e-8)", ok)
 
@@ -115,15 +87,12 @@ def test_criterion_2_resolution_identity():
 
 def test_criterion_3_derivative_identities():
     rng = np.random.RandomState(1)
-    worst_radial = 0.0
-    for lam, z in disk_pairs(20, 1, rmax=DISK_RMAX_SAFE):
-        t = rng.uniform(1e-3, 1.0 - 1e-3)
-        worst_radial = max(worst_radial, radial_derivative_identity_check(KOEBE, t, lam, z, h=1e-4).max_abs_err)
-    worst_chordal = 0.0
-    for alpha, z in halfplane_pairs(20, 1, rect=HALFPLANE_RECT_SAFE):
-        t = rng.uniform(1e-3, 1.0 - 1e-3)
-        worst_chordal = max(worst_chordal, chordal_derivative_identity_check(SLIT, t, alpha, z, h=1e-4).max_abs_err)
-    ok = worst_radial <= 1e-5 and worst_chordal <= 1e-5
+    lam, z = np.transpose(disk_pairs(20, 1, rmax=DISK_RMAX_SAFE))
+    radial = radial_derivative_identity_check(KOEBE, rng.uniform(1e-3, 1.0 - 1e-3, size=20), lam, z, h=1e-4)
+    alpha, w = np.transpose(halfplane_pairs(20, 1, rect=HALFPLANE_RECT_SAFE))
+    chordal = chordal_derivative_identity_check(SLIT, rng.uniform(1e-3, 1.0 - 1e-3, size=20), alpha, w, h=1e-4)
+    worst_radial, worst_chordal = radial.max_abs_err, chordal.max_abs_err
+    ok = radial.sample_pairs == chordal.sample_pairs == 20 and worst_radial <= 1e-5 and worst_chordal <= 1e-5
     _record(3, f"derivative identities FD rel err radial {worst_radial:.2e}, chordal {worst_chordal:.2e} <= 1e-5", ok)
 
 
@@ -148,7 +117,7 @@ def test_criterion_4_log_element_and_membership():
 def test_criterion_5_cayley_isometry():
     pairs = disk_pairs(10, 1, rmax=DISK_RMAX_SAFE)
     gram_pts = disk_points(6, 101, rmax=DISK_RMAX_SAFE)
-    report = cayley_isometry_check(_pick_psi, pairs, gram_pts, tol=1e-10)
+    report = cayley_isometry_check(pick_psi, pairs, gram_pts, tol=1e-10)
     _record(5, f"Cayley isometry pointwise + 6-point Gram err {report.max_abs_err:.2e} <= 1e-10", report.passed)
 
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loewnerkit
+from loewnerkit import cli, expansions
 from loewnerkit.cli import SUITES, SuiteConfig, dumps_report, main, validate_config
 from loewnerkit.errors import ConfigError
 
@@ -324,6 +325,38 @@ class TestRun:
         capsys.readouterr()
 
 
+class TestDerivativeSuites:
+    @pytest.mark.parametrize(
+        "suite, check, pairs, transition",
+        [
+            ("radial-derivative", "radial_derivative_identity_check", "disk_pairs", "radial_transition"),
+            ("chordal-derivative", "chordal_derivative_identity_check", "halfplane_pairs", "chordal_transition"),
+        ],
+    )
+    def test_one_check_call_and_pair_count_free_transition_calls(self, monkeypatch, suite, check, pairs, transition):
+        calls = {"check": 0, "transition": 0}
+        real_check, real_pairs, real_transition = getattr(cli, check), getattr(cli, pairs), getattr(expansions, transition)
+
+        def counted_check(*args, **kwargs):
+            calls["check"] += 1
+            return real_check(*args, **kwargs)
+
+        def counted_transition(*args, **kwargs):
+            calls["transition"] += 1
+            return real_transition(*args, **kwargs)
+
+        monkeypatch.setattr(cli, check, counted_check)
+        monkeypatch.setattr(expansions, transition, counted_transition)
+        seen = []
+        for n in (1, 7, 20):
+            monkeypatch.setattr(cli, pairs, lambda _n, seed, **kw: real_pairs(n, seed, **kw))
+            calls.update(check=0, transition=0)
+            (entry,) = cli.run(validate_config({"suite": suite}))["entries"]
+            assert entry["pass"] is True and entry["sample_pairs"] == n
+            seen.append(dict(calls))
+        assert seen == [{"check": 1, "transition": 1}] * 3
+
+
 class TestDumpsReport:
     def test_17_digit_floats(self):
         text = dumps_report({"x": 1.0 / 3.0})
@@ -398,3 +431,9 @@ class TestTrace:
         code = main(["trace", "--flow", "koebe", "--z-re", "2.0", "--n", "5"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("flow", ["koebe", "slit"])
+    def test_step_on_closed_form_backend_exits_2(self, flow):
+        proc = _run_process(["trace", "--flow", flow, "--z-re", "0.3", "--z-im", "0.5", "--step", "5"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: --step applies to --backend rk4 only\n"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loewnerkit import (
     BOUNDED,
@@ -12,8 +14,6 @@ from loewnerkit import (
     PickSpaceKernel,
     RadialFlowSpec,
     cayley_isometry_check,
-    cayley_to_disk,
-    cayley_to_halfplane,
     chordal_derivative_identity_check,
     chordal_exp_element,
     chordal_exp_element_check,
@@ -30,9 +30,9 @@ from loewnerkit import (
     paley_wiener_reconstruction_check,
     pick_constant_element,
     radial_derivative_identity_check,
-    radial_transition,
     resolution_check,
 )
+from loewnerkit.cli import pick_psi
 from loewnerkit.sampling import (
     DISK_RMAX_SAFE,
     HALFPLANE_RECT_SAFE,
@@ -48,14 +48,6 @@ from loewnerkit.sampling import (
 KOEBE = RadialFlowSpec.koebe(0.0, 1.0)
 SLIT = ChordalFlowSpec.basic_slit(0.0, 1.0)
 RULE = gauss_legendre(64, 0.0, 1.0)
-
-
-def _pick_phi(w):
-    return w - 1.0 / w
-
-
-def _pick_psi(z):
-    return cayley_to_disk(_pick_phi(cayley_to_halfplane(z)))
 
 
 class TestQuadrature:
@@ -131,6 +123,13 @@ class TestResolution:
         assert report.passed
 
 
+def _derivative_family(family, n, seed):
+    """(check, flow, n seeded point pairs) of one derivative identity."""
+    if family == "radial":
+        return radial_derivative_identity_check, KOEBE, disk_pairs(n, seed, rmax=DISK_RMAX_SAFE)
+    return chordal_derivative_identity_check, SLIT, halfplane_pairs(n, seed, rect=HALFPLANE_RECT_SAFE)
+
+
 class TestDerivativeIdentities:
     def test_radial_trivial_at_origin(self):
         for lam, z in ((0.0, 0.4), (0.4, 0.0)):
@@ -139,11 +138,10 @@ class TestDerivativeIdentities:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_radial_seeded(self, seed):
-        rng = np.random.RandomState(seed)
-        for lam, z in disk_pairs(20, seed, rmax=DISK_RMAX_SAFE):
-            t = rng.uniform(1e-3, 1.0 - 1e-3)
-            report = radial_derivative_identity_check(KOEBE, t, lam, z)
-            assert report.passed
+        times = np.random.RandomState(seed).uniform(1e-3, 1.0 - 1e-3, size=20)
+        lam, z = np.transpose(disk_pairs(20, seed, rmax=DISK_RMAX_SAFE))
+        report = radial_derivative_identity_check(KOEBE, times, lam, z)
+        assert report.passed and report.sample_pairs == 20
 
     def test_radial_example_configuration(self):
         report = radial_derivative_identity_check(KOEBE, 0.5, 0.3, 0.4j, h=1e-4)
@@ -155,13 +153,41 @@ class TestDerivativeIdentities:
         with pytest.raises(ValueError):
             chordal_derivative_identity_check(SLIT, 0.5, 1j, 1 + 1j, h=0.6)
 
+    @pytest.mark.parametrize("family", ["radial", "chordal"])
+    def test_step_too_large_for_one_pair_rejected(self, family):
+        check, flow, pairs = _derivative_family(family, 3, 1)
+        first, second = np.transpose(pairs)
+        with pytest.raises(ValueError, match="too large"):
+            check(flow, [0.5, 0.99995, 0.5], first, second, h=1e-4)
+
+    @pytest.mark.parametrize("family", ["radial", "chordal"])
+    def test_scalar_time_broadcasts_against_point_arrays(self, family):
+        check, flow, pairs = _derivative_family(family, 6, 2)
+        first, second = np.transpose(pairs)
+        report = check(flow, 0.5, first, second)
+        assert report.sample_pairs == 6
+        assert report.max_abs_err == pytest.approx(max(check(flow, 0.5, a, b).max_abs_err for a, b in pairs), rel=0, abs=1e-12)
+        assert check(flow, 0.5, first[0], second).sample_pairs == 6
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["radial", "chordal"]), st.integers(1, 12), st.integers(0, 10**6))
+    def test_array_call_matches_scalar_calls(self, family, n, seed):
+        # numpy may round an element of a long array differently from the
+        # same element alone, and the FD quotient scales that by 1/h.
+        check, flow, pairs = _derivative_family(family, n, seed)
+        times = np.random.RandomState(seed).uniform(1e-3, 1.0 - 1e-3, size=n)
+        first, second = np.transpose(pairs)
+        report = check(flow, times, first, second)
+        scalar = max(check(flow, t, a, b).max_abs_err for t, (a, b) in zip(times, pairs))
+        assert report.sample_pairs == n
+        assert abs(report.max_abs_err - scalar) <= 1e-12
+
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_chordal_seeded(self, seed):
-        rng = np.random.RandomState(seed)
-        for alpha, z in halfplane_pairs(20, seed, rect=HALFPLANE_RECT_SAFE):
-            t = rng.uniform(1e-3, 1.0 - 1e-3)
-            report = chordal_derivative_identity_check(SLIT, t, alpha, z)
-            assert report.passed
+        times = np.random.RandomState(seed).uniform(1e-3, 1.0 - 1e-3, size=20)
+        alpha, z = np.transpose(halfplane_pairs(20, seed, rect=HALFPLANE_RECT_SAFE))
+        report = chordal_derivative_identity_check(SLIT, times, alpha, z)
+        assert report.passed and report.sample_pairs == 20
 
     def test_chordal_example_configuration(self):
         report = chordal_derivative_identity_check(SLIT, 0.5, 1j, 1 + 1j, h=1e-4)
@@ -214,14 +240,14 @@ class TestCayleyIsometry:
 
     def test_diagonal_pair_is_real_positive(self):
         lam = 0.3 + 0.2j
-        report = cayley_isometry_check(_pick_psi, [(lam, lam)], [lam])
+        report = cayley_isometry_check(pick_psi, [(lam, lam)], [lam])
         assert report.passed
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_seeded_pairs_and_gram(self, seed):
         pairs = disk_pairs(10, seed, rmax=DISK_RMAX_SAFE)
         gram_pts = disk_points(6, seed + 100, rmax=DISK_RMAX_SAFE)
-        report = cayley_isometry_check(_pick_psi, pairs, gram_pts)
+        report = cayley_isometry_check(pick_psi, pairs, gram_pts)
         assert report.passed and report.max_abs_err <= 1e-10
 
     def test_degenerate_psi_rejected(self):
@@ -238,13 +264,13 @@ class TestPickConstantElement:
 
     def test_value_at_origin(self):
         rep = PickRepresentation(0.0, 1.0, AtomicMeasure.dirac(0.0, math.pi))
-        f = pick_constant_element(_pick_psi, rep)
-        assert abs(f(0.0) - (1.0 - _pick_psi(0.0))) <= 1e-15
+        f = pick_constant_element(pick_psi, rep)
+        assert abs(f(0.0) - (1.0 - pick_psi(0.0))) <= 1e-15
 
     def test_zero_c_rejected(self):
         rep = PickRepresentation(0.0, 0.0, AtomicMeasure.dirac(0.0, math.pi))
         with pytest.raises(ValueError):
-            pick_constant_element(_pick_psi, rep)
+            pick_constant_element(pick_psi, rep)
 
 
 class TestNevanlinnaSplit:
