@@ -22,6 +22,7 @@ from .expansions import (
     flow_rule,
     gauss_legendre,
     herglotz_mixture_check,
+    koebe_log_element,
     koebe_log_element_check,
     nevanlinna_split_check,
     paley_wiener_reconstruction_check,

@@ -9,18 +9,19 @@ reports apart from the wall-clock field.
 
 import argparse
 import cmath
+import dataclasses
 import functools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FlowEscapeError, LoewnerkitError
 from .expansions import (
+    IdentityReport,
     cayley_isometry_check,
     chordal_derivative_identity_check,
     chordal_exp_element,
@@ -28,6 +29,7 @@ from .expansions import (
     chordal_exp_kernel_check,
     gauss_legendre,
     herglotz_mixture_check,
+    koebe_log_element,
     koebe_log_element_check,
     nevanlinna_split_check,
     paley_wiener_reconstruction_check,
@@ -57,7 +59,7 @@ from .kernels import (
     membership_test,
     psd_check,
 )
-from .moebius import cayley_to_disk, cayley_to_halfplane, require_disk, require_halfplane
+from .moebius import cayley_to_disk, cayley_to_halfplane
 from .representations import AtomicMeasure, PickRepresentation, pick_eval
 from .sampling import (
     DISK_RMAX_SAFE,
@@ -82,7 +84,7 @@ MEMBERSHIP_EPS = 1e-8
 DERIVATIVE_STEP = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SuiteConfig:
     suite: str
     seed: int = 1
@@ -221,10 +223,12 @@ def validate_config(raw: dict) -> SuiteConfig:
 
 
 # --- suite runners -----------------------------------------------------
+# Each runner takes the config and its suite's tolerance and returns its
+# results in entry order: IdentityReports, or finished entry dicts without
+# the "suite" key.  `run` adds the suite name to every entry.
 
-def _identity_entry(suite: str, report) -> dict:
+def _identity_entry(report: IdentityReport) -> dict:
     return {
-        "suite": suite,
         "kind": "identity",
         "name": report.identity_name,
         "sample_pairs": report.sample_pairs,
@@ -234,9 +238,10 @@ def _identity_entry(suite: str, report) -> dict:
     }
 
 
-def _membership_entry(suite: str, name: str, report, expected: str) -> dict:
+def _probe(name: str, kernel, element, sets, expected: str) -> dict:
+    """The membership entry of ``element`` in the space of ``kernel``."""
+    report = membership_test(kernel, element, sets, MEMBERSHIP_EPS)
     entry = {
-        "suite": suite,
         "kind": "membership",
         "name": name,
         "point_counts": list(report.point_counts),
@@ -252,13 +257,16 @@ def _membership_entry(suite: str, name: str, report, expected: str) -> dict:
     return entry
 
 
-def _koebe_b_end(a: float, b: float):
-    flow = RadialFlowSpec.koebe(a, b)
+def _koebe(cfg: SuiteConfig) -> RadialFlowSpec:
+    return RadialFlowSpec.koebe(cfg.a, cfg.b)
 
-    def b_end(z):
-        return radial_transition(flow, b, z)
 
-    return flow, b_end
+def _slit(cfg: SuiteConfig) -> ChordalFlowSpec:
+    return ChordalFlowSpec.basic_slit(cfg.a, cfg.b)
+
+
+def _rule(cfg: SuiteConfig):
+    return gauss_legendre(cfg.nodes, cfg.a, cfg.b)
 
 
 def pick_phi(w):
@@ -272,19 +280,19 @@ def pick_psi(z):
 def kernel_catalog(a: float, b: float):
     """The kernel-psd catalog for the flow interval [a, b]: rows of (name,
     kernel, sampler), where sampler(seed) draws the kernel's 8 points."""
-    flow, b_end = _koebe_b_end(a, b)
+    flow = RadialFlowSpec.koebe(a, b)
     disk = functools.partial(disk_points, 8)
     return (
-        ("dbr-koebe", DbrDiskKernel(b_end), disk),
+        ("dbr-koebe", DbrDiskKernel(functools.partial(radial_transition, flow, flow.b)), disk),
         ("herglotz-phi-minus-one", HerglotzSpaceKernel(lambda z: (1.0 - z) / (1.0 + z)), disk),
         ("pick-cayley-image", PickSpaceKernel(pick_phi), functools.partial(halfplane_points, 8)),
         ("paley-wiener", PaleyWienerKernel(1.0), lambda seed: rect_points(8, seed, (-1.0, 1.0, -0.35, 0.35))),
-        ("loewner-time", LoewnerTimeKernel(flow, 0.5 * (a + b)), disk),
+        # 0.5 * (a + b) would overflow for a and b near the largest float.
+        ("loewner-time", LoewnerTimeKernel(flow, 0.5 * a + 0.5 * b), disk),
     )
 
 
-def _suite_kernel_psd(cfg: SuiteConfig):
-    tol = cfg.tol_for("kernel-psd")
+def _suite_kernel_psd(cfg: SuiteConfig, tol: float):
     entries = []
     for name, spec, sample in kernel_catalog(cfg.a, cfg.b):
         worst = math.inf
@@ -296,26 +304,13 @@ def _suite_kernel_psd(cfg: SuiteConfig):
             min_eig, ok = psd_check(matrix, tol)
             worst = min(worst, min_eig)
             passed = passed and ok
-        entries.append(
-            {
-                "suite": "kernel-psd",
-                "kind": "psd",
-                "name": name + ("-corrupted" if cfg.corrupt_psd else ""),
-                "size": 8,
-                "seeds": 5,
-                "min_eigenvalue": worst,
-                "tol": tol,
-                "pass": passed,
-            }
-        )
+        name += "-corrupted" if cfg.corrupt_psd else ""
+        entries.append({"kind": "psd", "name": name, "size": 8, "seeds": 5, "min_eigenvalue": worst, "tol": tol, "pass": passed})
     return entries
 
 
-def _suite_resolution(cfg: SuiteConfig):
-    flow = RadialFlowSpec.koebe(cfg.a, cfg.b)
-    rule = gauss_legendre(cfg.nodes, cfg.a, cfg.b)
-    pairs = disk_pairs(10, cfg.seed, rmax=DISK_RMAX_SAFE)
-    return [_identity_entry("resolution", resolution_check(flow, rule, pairs, cfg.tol_for("resolution")))]
+def _suite_resolution(cfg: SuiteConfig, tol: float):
+    return [resolution_check(_koebe(cfg), _rule(cfg), disk_pairs(10, cfg.seed, rmax=DISK_RMAX_SAFE), tol)]
 
 
 def _derivative_times(cfg: SuiteConfig, n: int):
@@ -326,129 +321,80 @@ def _derivative_times(cfg: SuiteConfig, n: int):
     return cfg.a + h + span * (np.arange(n) + 0.5) / n
 
 
-def _suite_radial_derivative(cfg: SuiteConfig):
+def _suite_radial_derivative(cfg: SuiteConfig, tol: float):
     lam, z = np.transpose(disk_pairs(20, cfg.seed, rmax=DISK_RMAX_SAFE))
-    flow = RadialFlowSpec.koebe(cfg.a, cfg.b)
-    times = _derivative_times(cfg, len(z))
-    report = radial_derivative_identity_check(flow, times, lam, z, DERIVATIVE_STEP, cfg.tol_for("radial-derivative"))
-    return [_identity_entry("radial-derivative", report)]
+    return [radial_derivative_identity_check(_koebe(cfg), _derivative_times(cfg, len(z)), lam, z, DERIVATIVE_STEP, tol)]
 
 
-def _suite_chordal_derivative(cfg: SuiteConfig):
+def _suite_chordal_derivative(cfg: SuiteConfig, tol: float):
     alpha, z = np.transpose(halfplane_pairs(20, cfg.seed, rect=HALFPLANE_RECT_SAFE))
-    flow = ChordalFlowSpec.basic_slit(cfg.a, cfg.b)
-    times = _derivative_times(cfg, len(z))
-    report = chordal_derivative_identity_check(flow, times, alpha, z, DERIVATIVE_STEP, cfg.tol_for("chordal-derivative"))
-    return [_identity_entry("chordal-derivative", report)]
+    return [chordal_derivative_identity_check(_slit(cfg), _derivative_times(cfg, len(z)), alpha, z, DERIVATIVE_STEP, tol)]
 
 
-def _suite_koebe_log(cfg: SuiteConfig):
-    flow = RadialFlowSpec.koebe(cfg.a, cfg.b)
-    rule = gauss_legendre(cfg.nodes, cfg.a, cfg.b)
-    pts = disk_points(20, cfg.seed, rmax=DISK_RMAX_SAFE)
-    return [_identity_entry("koebe-log", koebe_log_element_check(flow, rule, pts, cfg.tol_for("koebe-log")))]
+def _suite_koebe_log(cfg: SuiteConfig, tol: float):
+    return [koebe_log_element_check(_koebe(cfg), _rule(cfg), disk_points(20, cfg.seed, rmax=DISK_RMAX_SAFE), tol)]
 
 
-def _suite_cayley_isometry(cfg: SuiteConfig):
+def _suite_cayley_isometry(cfg: SuiteConfig, tol: float):
     pairs = disk_pairs(10, cfg.seed, rmax=DISK_RMAX_SAFE)
-    gram_pts = disk_points(6, cfg.seed + 100, rmax=DISK_RMAX_SAFE)
-    report = cayley_isometry_check(pick_psi, pairs, gram_pts, cfg.tol_for("cayley-isometry"))
-    return [_identity_entry("cayley-isometry", report)]
+    return [cayley_isometry_check(pick_psi, pairs, disk_points(6, cfg.seed + 100, rmax=DISK_RMAX_SAFE), tol)]
 
 
-def _suite_nevanlinna_split(cfg: SuiteConfig):
+def _suite_nevanlinna_split(cfg: SuiteConfig, tol: float):
     rep = cfg.pick_rep or PickRepresentation(1.0, 2.0, AtomicMeasure.dirac(1.0, math.pi))
-    pairs = halfplane_pairs(10, cfg.seed)
-    return [_identity_entry("nevanlinna-split", nevanlinna_split_check(rep, pairs, cfg.tol_for("nevanlinna-split")))]
+    return [nevanlinna_split_check(rep, halfplane_pairs(10, cfg.seed), tol)]
 
 
-def _suite_herglotz_mixture(cfg: SuiteConfig):
+def _suite_herglotz_mixture(cfg: SuiteConfig, tol: float):
     mu = cfg.herglotz_atoms or AtomicMeasure(((1.0, 0.5), (-1.0, 0.3), (cmath.exp(0.7j), 0.2)))
-    pairs = disk_pairs(10, cfg.seed)
-    return [_identity_entry("herglotz-mixture", herglotz_mixture_check(mu, pairs, cfg.tol_for("herglotz-mixture")))]
+    return [herglotz_mixture_check(mu, disk_pairs(10, cfg.seed), tol)]
 
 
-def _suite_chordal_exp_kernel(cfg: SuiteConfig):
-    flow = ChordalFlowSpec.basic_slit(cfg.a, cfg.b)
-    rule = gauss_legendre(cfg.nodes, cfg.a, cfg.b)
-    tol = cfg.tol_for("chordal-exp-kernel")
+def _suite_chordal_exp_kernel(cfg: SuiteConfig, tol: float):
     pairs = halfplane_pairs(10, cfg.seed, rect=HALFPLANE_RECT_SAFE)
-    entries = [_identity_entry("chordal-exp-kernel", chordal_exp_kernel_check(flow, rule, pairs, tol))]
+    report = chordal_exp_kernel_check(_slit(cfg), _rule(cfg), pairs, tol)
     # Hand-checked anchor: alpha = z = i on [0, 1] gives sqrt(3) on both sides.
-    anchor_flow = ChordalFlowSpec.basic_slit(0.0, 1.0)
-    anchor_rule = gauss_legendre(cfg.nodes, 0.0, 1.0)
+    anchor_flow, anchor_rule = ChordalFlowSpec.basic_slit(0.0, 1.0), gauss_legendre(cfg.nodes, 0.0, 1.0)
     anchor = chordal_exp_kernel_check(anchor_flow, anchor_rule, [(1j, 1j)], 1e-10)
-    entry = _identity_entry("chordal-exp-kernel", anchor)
-    entry["name"] = "chordal-exp-kernel-anchor"
-    entries.append(entry)
-    return entries
+    return [report, dataclasses.replace(anchor, identity_name="chordal-exp-kernel-anchor")]
 
 
-def _suite_chordal_exp_element(cfg: SuiteConfig):
-    flow = ChordalFlowSpec.basic_slit(cfg.a, cfg.b)
-    rule = gauss_legendre(cfg.nodes, cfg.a, cfg.b)
+def _suite_chordal_exp_element(cfg: SuiteConfig, tol: float):
+    flow = _slit(cfg)
     pts = halfplane_points(20, cfg.seed, rect=HALFPLANE_RECT_SAFE)
-    identity = chordal_exp_element_check(flow, rule, pts, cfg.tol_for("chordal-exp-element"))
-    kernel = PickSpaceKernel(lambda z: chordal_transition(flow, flow.s, z))
+    kernel = PickSpaceKernel(functools.partial(chordal_transition, flow, flow.s))
     sets = membership_halfplane_sets(MEMBERSHIP_SIZES, cfg.seed)
-    membership = membership_test(kernel, chordal_exp_element(flow), sets, MEMBERSHIP_EPS)
     return [
-        _identity_entry("chordal-exp-element", identity),
-        _membership_entry("chordal-exp-element", "exp-slit-element", membership, BOUNDED),
+        chordal_exp_element_check(flow, _rule(cfg), pts, tol),
+        _probe("exp-slit-element", kernel, chordal_exp_element(flow), sets, BOUNDED),
     ]
 
 
-def _suite_membership(cfg: SuiteConfig):
-    flow, b_end = _koebe_b_end(cfg.a, cfg.b)
+def _suite_membership(cfg: SuiteConfig, tol: None):
+    flow = _koebe(cfg)
     sets = membership_disk_sets(MEMBERSHIP_SIZES, cfg.seed)
-    dbr = DbrDiskKernel(b_end)
-
-    def log_element(z):
-        return cmath.log((1.0 - b_end(z)) / (1.0 - z))
-
-    def reciprocal_pole(z):
-        return 1.0 / (1.0 - z)
-
-    probes = (("koebe-log-element", log_element, BOUNDED), ("reciprocal-pole", reciprocal_pole, UNBOUNDED))
+    dbr = DbrDiskKernel(functools.partial(radial_transition, flow, flow.b))
     entries = [
-        _membership_entry("membership", name, membership_test(dbr, func, sets, MEMBERSHIP_EPS), expected)
-        for name, func, expected in probes
+        _probe("koebe-log-element", dbr, koebe_log_element(flow), sets, BOUNDED),
+        _probe("reciprocal-pole", dbr, lambda z: 1.0 / (1.0 - z), sets, UNBOUNDED),
     ]
-
     rep = cfg.pick_rep or PickRepresentation(0.0, 1.0, AtomicMeasure.dirac(0.0, math.pi))
     if rep.c == 0.0:
-        entries.append(
-            {
-                "suite": "membership",
-                "kind": "error",
-                "name": "pick-constant-element",
-                "error": "pick_rep.c must be nonzero for the constant element",
-                "pass": False,
-            }
-        )
-        return entries
+        error = "pick_rep.c must be nonzero for the constant element"
+        return entries + [{"kind": "error", "name": "pick-constant-element", "error": error, "pass": False}]
 
     def psi_of_rep(z):
         return cayley_to_disk(pick_eval(rep, cayley_to_halfplane(z)))
 
-    entries.append(
-        _membership_entry(
-            "membership",
-            "pick-constant-element",
-            membership_test(DbrDiskKernel(psi_of_rep), pick_constant_element(psi_of_rep, rep), sets, MEMBERSHIP_EPS),
-            BOUNDED,
-        )
-    )
-    return entries
+    element = pick_constant_element(psi_of_rep, rep)
+    return entries + [_probe("pick-constant-element", DbrDiskKernel(psi_of_rep), element, sets, BOUNDED)]
 
 
-def _suite_pw_reconstruction(cfg: SuiteConfig):
+def _suite_pw_reconstruction(cfg: SuiteConfig, tol: float):
     bandwidth = 1.0
-    rule = gauss_legendre(cfg.nodes, -bandwidth, bandwidth)
     pairs = point_pairs(rect_points(38, cfg.seed, (-1.0, 1.0, -0.3, 0.3)))
     pairs.append((0.37, 0.37))  # removable-singularity diagonal
-    report = paley_wiener_reconstruction_check(bandwidth, rule, pairs, cfg.tol_for("pw-reconstruction"))
-    return [_identity_entry("pw-reconstruction", report)]
+    return [paley_wiener_reconstruction_check(bandwidth, gauss_legendre(cfg.nodes, -bandwidth, bandwidth), pairs, tol)]
 
 
 # Suite name -> (runner, default tolerance, or None for a suite that reads none).
@@ -480,7 +426,10 @@ def run(config: SuiteConfig) -> dict:
     entries = []
     for name in sorted(names):
         try:
-            suite_entries = SUITE_TABLE[name][0](config)
+            results = SUITE_TABLE[name][0](config, config.tol_for(name))
+            suite_entries = [
+                {"suite": name, **(_identity_entry(r) if isinstance(r, IdentityReport) else r)} for r in results
+            ]
             for entry in suite_entries:
                 for key, value in entry.items():
                     values = value if isinstance(value, list) else [value]
@@ -548,6 +497,8 @@ def _emit(obj, out):
 
 # --- trace -------------------------------------------------------------
 
+# A non-finite sample becomes an error row, so numpy need not warn about it.
+@np.errstate(all="ignore")
 def _run_trace(args) -> int:
     try:
         z = complex(float(args.z_re), float(args.z_im))
@@ -556,12 +507,11 @@ def _run_trace(args) -> int:
         ode = OdeConfig(args.step) if args.step is not None else OdeConfig()
         if args.flow == "koebe":
             flow = RadialFlowSpec.koebe(args.a, args.b, backend=args.backend, ode=ode)
-            require_disk(z)
         else:
             flow = ChordalFlowSpec.basic_slit(args.a, args.b, backend=args.backend, ode=ode)
-            require_halfplane(z)
         if not 2 <= args.n <= MAX_TRACE_SAMPLES:
             raise ConfigError(f"n must be in [2, {MAX_TRACE_SAMPLES}], got {args.n}")
+        samples = iter_flow_trace(flow, z, args.n)
         out = open(args.out, "w") if args.out else sys.stdout
     except (OSError, ValueError, LoewnerkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -571,7 +521,7 @@ def _run_trace(args) -> int:
     try:
         print("t,re,im", file=out)
         try:
-            for t, value in iter_flow_trace(flow, z, args.n):
+            for t, value in samples:
                 print(f"{format(t, '.17g')},{format(value.real, '.17g')},{format(value.imag, '.17g')}", file=out)
         except FlowEscapeError as exc:
             print(f"error,{str(exc).replace(',', ';')}", file=out)
@@ -597,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--nodes", type=int, help="Gauss-Legendre nodes per segment")
     runp.add_argument("--tol", type=float, help="tolerance override for the selected suite(s)")
     runp.add_argument("--out", help="write the JSON report here instead of stdout")
-    runp.add_argument("--corrupt-psd", action="store_true", help="test hook: negate one Gram entry in kernel-psd")
+    runp.add_argument("--corrupt-psd", action="store_true", default=None, help="test hook: negate one Gram entry in kernel-psd")
 
     tracep = sub.add_parser("trace", help="sample a flow trajectory to CSV (header t,re,im)")
     tracep.add_argument("--flow", choices=("koebe", "slit"), required=True)
@@ -626,20 +576,9 @@ def _run_suites(args) -> int:
         if not isinstance(raw, dict):
             print("error: config must be a JSON object", file=sys.stderr)
             return 2
-    if args.suite is not None:
-        raw["suite"] = args.suite
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.a is not None:
-        raw["a"] = args.a
-    if args.b is not None:
-        raw["b"] = args.b
-    if args.nodes is not None:
-        raw["nodes"] = args.nodes
-    if args.tol is not None:
-        raw["tol"] = args.tol
-    if args.corrupt_psd:
-        raw["corrupt_psd"] = True
+    for key in ("suite", "seed", "a", "b", "nodes", "tol", "corrupt_psd"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
 
     try:
         config = validate_config(raw)

@@ -45,7 +45,8 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     if n < 1:
         raise ValueError("n must be at least 1")
     x, w = np.polynomial.legendre.leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    # 0.5 * (a + b) would overflow for a and b near the largest float.
+    mid, half = 0.5 * a + 0.5 * b, 0.5 * (b - a)
     return QuadratureRule(mid + half * x, half * w, float(a), float(b))
 
 
@@ -145,13 +146,19 @@ def resolution_check(flow: RadialFlowSpec, rule: QuadratureRule, point_pairs, to
 def _fd_tables(transition, flow, lo: float, hi: float, t, first, second, h: float):
     """Flat t, first and second, broadcast together, and the two (3, p)
     tables of B at t - h, t and t + h for the two point columns, from one
-    (3, 2p) transition table."""
+    (3, 2p) transition table.  ValueError when a [t - h, t + h] leaves
+    [lo, hi], or when t - h and t + h, as floats, are not 2h apart to 1e-6
+    relative: then the difference quotient would not divide by its spacing."""
     if not (h > 0.0):
         raise ValueError("h must be positive")
     t, first, second = (np.reshape(v, -1) for v in np.broadcast_arrays(np.asarray(t, dtype=float), first, second))
     if np.any(t - h < lo) or np.any(t + h > hi):
         raise ValueError(f"step h = {h} too large: [t-h, t+h] must stay in [{lo}, {hi}]")
     times = t + np.array([-h, 0.0, h])[:, None]
+    spacing = times[2] - times[0]
+    coarse = np.abs(spacing - 2.0 * h) > 1e-6 * 2.0 * h
+    if coarse.any():
+        raise ValueError(f"step h = {h} is below the time resolution at t = {t[coarse][0]}: (t + h) - (t - h) = {spacing[coarse][0]}")
     table = transition(flow, np.tile(times, 2), np.concatenate([first, second]))
     p = len(t)
     return t, first, second, table[:, :p], table[:, p:]
@@ -216,21 +223,31 @@ def dbr_element(flow: RadialFlowSpec, h, lam: complex, rule: QuadratureRule):
     return element
 
 
+def koebe_log_element(flow: RadialFlowSpec):
+    """The element z -> log((1 - B_b(z)) / (1 - z)) of the de Branges-Rovnyak
+    space of B_b, for the end map B_b of a Koebe flow; it takes z as a scalar
+    or a numpy array.  Both factors of the log argument have positive real
+    part on the disk; a BranchCutError names the first point where one does
+    not, so the principal branch is never silently left."""
+
+    def element(z):
+        z = require_disk(z)
+        num, den = 1.0 - radial_transition(flow, flow.b, z), 1.0 - z
+        off_branch = (np.real(num) <= 0.0) | (np.real(den) <= 0.0)
+        if np.any(off_branch):
+            z_i, num_i, den_i = (complex(np.asarray(v)[off_branch].flat[0]) for v in (z, num, den))
+            raise BranchCutError(f"log argument off the principal branch at z = {z_i}: 1 - B_b(z) = {num_i}, 1 - z = {den_i}")
+        return np.log(num / den)
+
+    return element
+
+
 def koebe_log_element_check(flow: RadialFlowSpec, rule: QuadratureRule, points, tol: float = 1e-8) -> IdentityReport:
     """The h = 1, lam = 0 element of the Koebe flow equals
-    log((1 - B_b(z)) / (1 - z)) (principal branch, positivity-guarded)."""
+    log((1 - B_b(z)) / (1 - z)), with the right side from ``koebe_log_element``."""
     pts = require_disk(np.reshape(points, -1))
-    b_end = radial_transition(flow, flow.b, pts)
-    off_branch = ((1.0 - b_end).real <= 0.0) | ((1.0 - pts).real <= 0.0)
-    if off_branch.any():
-        i = int(np.argmax(off_branch))
-        raise BranchCutError(
-            f"log argument off the principal branch at z = {complex(pts[i])}: "
-            f"1 - B_b(z) = {complex(1.0 - b_end[i])}, 1 - z = {complex(1.0 - pts[i])}"
-        )
-    closed = np.log((1.0 - b_end) / (1.0 - pts))
-    element = dbr_element(flow, 1.0, 0.0, rule)
-    return _report("koebe-log", len(points), np.abs(element(pts) - closed), tol)
+    closed = koebe_log_element(flow)(pts)
+    return _report("koebe-log", len(points), np.abs(dbr_element(flow, 1.0, 0.0, rule)(pts) - closed), tol)
 
 
 def cayley_isometry_check(psi, point_pairs, gram_points, tol: float = 1e-10) -> IdentityReport:

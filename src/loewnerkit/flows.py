@@ -327,8 +327,10 @@ def chordal_transition(spec: ChordalFlowSpec, s, z):
 
 
 def iter_flow_trace(spec, z: complex, n_samples: int):
-    """Yield the samples of ``flow_trace`` one by one, so that a caller keeps
-    the samples yielded before a FlowEscapeError."""
+    """An iterator over the samples of ``flow_trace``, so that a caller keeps
+    the samples yielded before a FlowEscapeError.  Every argument is checked,
+    and every sample time built, before it returns; a sample that is not
+    finite raises FlowEscapeError naming its time."""
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -338,13 +340,25 @@ def iter_flow_trace(spec, z: complex, n_samples: int):
         lo, hi, transition, require = spec.r, spec.s, chordal_transition, require_halfplane
     else:
         raise TypeError(f"unsupported flow spec {type(spec).__name__}")
+    if not math.isfinite((hi - lo) * (n_samples - 1)):
+        raise ValueError(f"sample times of [{lo}, {hi}] at {n_samples} samples overflow a float")
+    z = require(z)
     times = [lo + (hi - lo) * i / (n_samples - 1) for i in range(n_samples)]
+    # Rounding can carry the last times past hi by more than the absolute
+    # slack of the transition maps once hi is large; evaluate those at hi.
+    at = [min(t, hi) for t in times]
     if spec.backend == RUNGE_KUTTA:
-        sweep = _sweep(spec, complex(require(z)), _flow_times(times, lo, hi, "t").tolist())
-        values = map(np.complex128, sweep)
+        values = map(np.complex128, _sweep(spec, complex(z), at))
     else:
-        values = (transition(spec, t, z) for t in times)
-    yield from zip(times, values)
+        values = (transition(spec, t, z) for t in at)
+
+    def samples():
+        for t, value in zip(times, values):
+            if not np.isfinite(value):
+                raise FlowEscapeError(f"trajectory from {complex(z)} is not finite at t = {t}: {complex(value)}")
+            yield t, value
+
+    return samples()
 
 
 def flow_trace(spec, z: complex, n_samples: int):

@@ -28,6 +28,7 @@ from loewnerkit import (
     chordal_transition,
     gauss_legendre,
     gram,
+    koebe_log_element,
     koebe_log_element_check,
     herglotz_mixture_check,
     membership_test,
@@ -100,11 +101,7 @@ def test_criterion_4_log_element_and_membership():
     report = koebe_log_element_check(KOEBE, RULE64, disk_points(20, 1, rmax=DISK_RMAX_SAFE))
     sets = membership_disk_sets(MEMBERSHIP_SIZES, 1)
     spec = DbrDiskKernel(_koebe_end)
-
-    def log_element(z):
-        return cmath.log((1.0 - _koebe_end(z)) / (1.0 - z))
-
-    member = membership_test(spec, log_element, sets, MEMBERSHIP_EPS)
+    member = membership_test(spec, koebe_log_element(KOEBE), sets, MEMBERSHIP_EPS)
     control = membership_test(spec, lambda z: 1.0 / (1.0 - z), sets, MEMBERSHIP_EPS)
     ok = report.max_abs_err <= 1e-8 and member.verdict == BOUNDED and control.verdict == UNBOUNDED
     _record(

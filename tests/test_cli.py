@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,16 @@ def test_run_exits_0_2_or_3_with_a_json_report(raw):
             assert json.loads(out.read_text())["overall_pass"] is (code == 0)
 
 
+# (b - a) * (n - 1) overflows, so the sample times would reach inf.
+TRACE_KOEBE_TIMES_OVERFLOW = ["trace", "--flow", "koebe", "--z-re", "0.3", "--b", "1e308", "--n", "3"]
+TRACE_SLIT_TIMES_OVERFLOW = ["trace", "--flow", "slit", "--z-re", "0.3", "--z-im", "1", "--b", "1e308", "--n", "3"]
+# z * z overflows in the slit map, so every sample after t = 0 is nan.
+TRACE_NON_FINITE = ["trace", "--flow", "slit", "--z-re", "0", "--z-im", "1e200", "--n", "3"]
+# a + (b - a) * 13 / 13 rounds to 2e-10 past b, beyond the absolute time
+# slack of the transition maps.
+TRACE_LAST_TIME_PAST_END = ["trace", "--flow", "koebe", "--a", "9.83187717309674", "--b", "647165.9971964757", "--z-re", "0.3", "--n", "14"]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -174,13 +185,66 @@ def test_run_exits_0_2_or_3_with_a_json_report(raw):
         ["trace", "--flow", "koebe", "--backend", "rk4", "--step", "0", "--z-re", "0.3"],
         ["trace", "--flow", "koebe", "--backend", "rk4", "--b", "1e308", "--z-re", "0.3", "--n", "2"],
         ["trace", "--flow", "slit", "--z-re", "0.3", "--z-im", "1", "--n", "1000001"],
+        TRACE_KOEBE_TIMES_OVERFLOW,
+        TRACE_SLIT_TIMES_OVERFLOW,
     ],
-    ids=["run-out-unopenable", "trace-out-unopenable", "trace-step-zero", "trace-rk4-grid-over-cap", "trace-n-over-cap"],
+    ids=[
+        "run-out-unopenable",
+        "trace-out-unopenable",
+        "trace-step-zero",
+        "trace-rk4-grid-over-cap",
+        "trace-n-over-cap",
+        "trace-koebe-times-overflow",
+        "trace-slit-times-overflow",
+    ],
 )
 def test_bad_arguments_exit_2_without_traceback(tmp_path, args):
     proc = _run_process([arg.format(missing=tmp_path / "missing") for arg in args])
-    assert proc.returncode == 2
+    assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+# Coordinates in [-0.7, 0.7] give a point of both domains when Im > 0.
+_TRACE_COORD = st.floats(-0.7, 0.7) | st.floats(-1.5, 1.5) | st.floats() | st.sampled_from([1e-300, 1e200, 1e308])
+_TRACE_INTERVAL = st.floats(0.0, 10.0) | st.floats(0.0) | st.floats() | st.sampled_from([0.0, 1e13, 1e300, 1e308])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.tuples(
+        st.sampled_from(["koebe", "slit"]),
+        _TRACE_INTERVAL,
+        _TRACE_INTERVAL,
+        _TRACE_COORD,
+        _TRACE_COORD,
+        st.integers(-1, 50),
+    ).map(
+        # "--a=-1e-05", as argparse would read "--a -1e-05" as two options.
+        lambda v: ["trace", f"--flow={v[0]}", f"--a={v[1]!r}", f"--b={v[2]!r}", f"--z-re={v[3]!r}", f"--z-im={v[4]!r}", f"--n={v[5]}"]
+    )
+)
+@example(TRACE_KOEBE_TIMES_OVERFLOW)
+@example(TRACE_SLIT_TIMES_OVERFLOW)
+@example(TRACE_NON_FINITE)
+@example(TRACE_LAST_TIME_PAST_END)
+def test_trace_exits_0_2_or_3_with_finite_rows(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(args)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        return
+    assert err.getvalue() == ""
+    header, *rows = out.getvalue().splitlines()
+    assert header == "t,re,im"
+    if code == 3:
+        assert rows.pop().startswith("error,")
+    else:
+        assert len(rows) == int(args[-1].removeprefix("--n="))
+    for row in rows:
+        assert all(math.isfinite(float(x)) for x in row.split(","))
 
 
 class TestRun:
@@ -199,6 +263,53 @@ class TestRun:
         suites_seen = [e["suite"] for e in report["entries"]]
         assert suites_seen == sorted(suites_seen)
         assert set(suites_seen) == set(SUITES)
+
+    def test_all_suites_report_skeleton(self, capsys):
+        identity = ("suite", "kind", "name", "sample_pairs", "max_abs_err", "tol", "pass")
+        psd = ("suite", "kind", "name", "size", "seeds", "min_eigenvalue", "tol", "pass")
+        membership = ("suite", "kind", "name", "point_counts", "estimates", "eps", "min_pivot", "verdict", "expected", "pass")
+        bounded = membership + ("norm_bound",)
+        _, out = _run(["run", "--suite", "all", "--seed", "1"], capsys)
+        skeleton = [(e["suite"], e["kind"], e["name"], tuple(e)) for e in json.loads(out)["entries"]]
+        assert skeleton == [
+            ("cayley-isometry", "identity", "cayley-isometry", identity),
+            ("chordal-derivative", "identity", "chordal-derivative", identity),
+            ("chordal-exp-element", "identity", "chordal-exp-element", identity),
+            ("chordal-exp-element", "membership", "exp-slit-element", bounded),
+            ("chordal-exp-kernel", "identity", "chordal-exp-kernel", identity),
+            ("chordal-exp-kernel", "identity", "chordal-exp-kernel-anchor", identity),
+            ("herglotz-mixture", "identity", "herglotz-mixture", identity),
+            ("kernel-psd", "psd", "dbr-koebe", psd),
+            ("kernel-psd", "psd", "herglotz-phi-minus-one", psd),
+            ("kernel-psd", "psd", "pick-cayley-image", psd),
+            ("kernel-psd", "psd", "paley-wiener", psd),
+            ("kernel-psd", "psd", "loewner-time", psd),
+            ("koebe-log", "identity", "koebe-log", identity),
+            ("membership", "membership", "koebe-log-element", bounded),
+            ("membership", "membership", "reciprocal-pole", membership),
+            ("membership", "membership", "pick-constant-element", bounded),
+            ("nevanlinna-split", "identity", "nevanlinna-split", identity),
+            ("pw-reconstruction", "identity", "pw-reconstruction", identity),
+            ("radial-derivative", "identity", "radial-derivative", identity),
+            ("resolution", "identity", "resolution", identity),
+        ]
+
+    def test_interval_at_the_largest_floats(self, capsys):
+        # 0.5 * (a + b) overflows here, and the quadrature rules and the
+        # loewner-time kernel of kernel-psd take the midpoint of [a, b].
+        code, out = _run(["run", "--suite", "all", "--a", "1e308", "--b", "1e308"], capsys)
+        entries = json.loads(out)["entries"]
+        errors = {e["suite"]: e["error"] for e in entries if e["kind"] == "error"}
+        assert code == 3 and set(errors) == {"chordal-derivative", "radial-derivative"}
+        assert all("below the time resolution" in error for error in errors.values())
+        assert all(e["pass"] for e in entries if e["kind"] != "error")
+
+    def test_derivative_step_below_time_resolution_is_an_error(self, capsys):
+        # One ulp at t = 1e13 is about 2e-3, so t - h and t + h round to t.
+        code, out = _run(["run", "--suite", "radial-derivative", "--a", "1e13", "--b", "10000000000001"], capsys)
+        (entry,) = json.loads(out)["entries"]
+        assert code == 3 and entry["kind"] == "error"
+        assert entry["error"].startswith("step h = 0.0001 is below the time resolution at t = 1000000000000")
 
     def test_determinism_same_seed(self, capsys):
         _, out1 = _run(["run", "--suite", "all", "--seed", "1"], capsys)
@@ -426,6 +537,13 @@ class TestTrace:
         assert lines[0] == "t,re,im"
         assert lines[-1].startswith("error,")
         assert len(lines) >= 3  # header + at least one sample row + error row
+
+    def test_non_finite_sample_writes_error_row_and_exits_3(self):
+        proc = _run_process(TRACE_NON_FINITE)
+        assert proc.returncode == 3 and proc.stderr == ""
+        header, first, error = proc.stdout.splitlines()
+        assert header == "t,re,im" and first == "0,0,9.9999999999999997e+199"
+        assert error.startswith("error,") and "not finite at t = 0.5" in error
 
     def test_out_of_domain_point_exits_2(self, capsys):
         code = main(["trace", "--flow", "koebe", "--z-re", "2.0", "--n", "5"])

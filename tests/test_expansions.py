@@ -24,15 +24,19 @@ from loewnerkit import (
     flow_rule,
     gauss_legendre,
     herglotz_mixture_check,
+    koebe_log_element,
     koebe_log_element_check,
     membership_test,
     nevanlinna_split_check,
     paley_wiener_reconstruction_check,
     pick_constant_element,
     radial_derivative_identity_check,
+    radial_transition,
     resolution_check,
 )
+from loewnerkit import expansions
 from loewnerkit.cli import pick_psi
+from loewnerkit.errors import BranchCutError
 from loewnerkit.sampling import (
     DISK_RMAX_SAFE,
     HALFPLANE_RECT_SAFE,
@@ -68,6 +72,12 @@ class TestQuadrature:
         rule = gauss_legendre(4, -1.0, 2.0)
         value = sum(w * x**7 for x, w in zip(rule.nodes, rule.weights))
         assert abs(value - (2.0**8 - 1.0) / 8.0) <= 1e-12
+
+    def test_gauss_legendre_near_the_largest_float(self):
+        # 0.5 * (a + b) overflows for both intervals.
+        rule = gauss_legendre(8, 1e308, 1.7e308)
+        assert np.all(rule.nodes > 1e308) and np.all(rule.nodes < 1.7e308)
+        assert gauss_legendre(4, 1e308, 1e308).nodes.tolist() == [1e308] * 4
 
     def test_flow_rule_splits_on_driver_breakpoints(self):
         mix = AtomicMeasure(((-1.0, 0.5), (1.0, 0.5)))
@@ -160,6 +170,19 @@ class TestDerivativeIdentities:
         with pytest.raises(ValueError, match="too large"):
             check(flow, [0.5, 0.99995, 0.5], first, second, h=1e-4)
 
+    @pytest.mark.parametrize(
+        "check, flow, first, second",
+        [
+            (radial_derivative_identity_check, RadialFlowSpec.koebe(1e13, 1e13 + 1.0), 0.3, 0.4j),
+            (chordal_derivative_identity_check, ChordalFlowSpec.basic_slit(1e13, 1e13 + 1.0), 1j, 1 + 1j),
+        ],
+        ids=["radial", "chordal"],
+    )
+    def test_step_below_time_resolution_rejected(self, check, flow, first, second):
+        # One ulp at t = 1e13 is about 2e-3: t - h and t + h round to t.
+        with pytest.raises(ValueError, match=r"h = 0\.0001 is below the time resolution at t = 10000000000000\.5"):
+            check(flow, [1e13 + 0.5, 1e13 + 0.25], first, second)
+
     @pytest.mark.parametrize("family", ["radial", "chordal"])
     def test_scalar_time_broadcasts_against_point_arrays(self, family):
         check, flow, pairs = _derivative_family(family, 6, 2)
@@ -226,6 +249,20 @@ class TestKoebeLogElement:
         flow0 = RadialFlowSpec.koebe(0.5, 0.5)
         report0 = koebe_log_element_check(flow0, gauss_legendre(8, 0.5, 0.5), [0.3 + 0.1j])
         assert report0.max_abs_err <= 1e-15
+
+    def test_element_matches_cmath_on_scalars_and_arrays(self):
+        element = koebe_log_element(KOEBE)
+        pts = np.reshape(disk_points(20, 1), (4, 5))
+        closed = np.array([[cmath.log((1 - radial_transition(KOEBE, 1.0, z)) / (1 - z)) for z in row] for row in pts])
+        values = element(pts)
+        assert values.shape == (4, 5) and np.max(np.abs(values - closed)) <= 1e-15
+        assert np.shape(element(pts[0, 0])) == () and element(pts[0, 0]) == values[0, 0]
+
+    def test_off_branch_point_raises(self, monkeypatch):
+        # B(z) = 3z gives Re(1 - B(z)) <= 0 from Re z = 1/3 on.
+        monkeypatch.setattr(expansions, "radial_transition", lambda flow, t, z: 3.0 * z)
+        with pytest.raises(BranchCutError, match=r"at z = \(0\.5\+0j\)"):
+            koebe_log_element(KOEBE)([0.1, 0.5, 0.6])
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_seeded_points(self, seed):

@@ -330,3 +330,19 @@ class TestTrace:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             flow_trace(RadialFlowSpec.koebe(0.0, 1.0), 0.1, 1)
+
+    def test_overflowing_times_rejected_before_the_first_sample(self):
+        with pytest.raises(ValueError, match="overflow"):
+            flows.iter_flow_trace(ChordalFlowSpec.basic_slit(0.0, 1e308), 0.3 + 1j, 3)
+
+    def test_non_finite_sample_raises_flow_escape(self):
+        samples = flows.iter_flow_trace(ChordalFlowSpec.basic_slit(0.0, 1.0), 1e200j, 3)
+        with np.errstate(all="ignore"):  # z * z overflows
+            assert next(samples) == (0.0, 1e200j)
+            with pytest.raises(FlowEscapeError, match="not finite at t = 0.5"):
+                next(samples)
+
+    def test_last_time_rounded_past_the_end_is_evaluated_at_the_end(self):
+        spec = RadialFlowSpec.koebe(9.83187717309674, 647165.9971964757)
+        t, b = flow_trace(spec, 0.3, 14)[-1]
+        assert t > spec.b and b == radial_transition(spec, spec.b, 0.3)
