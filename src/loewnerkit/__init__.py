@@ -37,6 +37,7 @@ from .flows import (
     OdeConfig,
     RadialFlowSpec,
     chordal_transition,
+    driver_herglotz,
     flow_trace,
     iter_flow_trace,
     koebe_eval,

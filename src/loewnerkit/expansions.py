@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchCutError
-from .flows import ChordalFlowSpec, RadialFlowSpec, chordal_transition, radial_transition
+from .flows import ChordalFlowSpec, RadialFlowSpec, _family, _segments, chordal_transition, driver_herglotz, radial_transition
 from .kernels import DbrDiskKernel, PaleyWienerKernel, PickSpaceKernel, gram
 from .moebius import cayley_to_disk, cayley_to_halfplane, require_disk, require_halfplane
 from .representations import AtomicMeasure, PickRepresentation, herglotz_eval, pick_eval
@@ -40,14 +40,20 @@ class QuadratureRule:
 
 
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule with n interior nodes on [a, b]."""
+    """Gauss-Legendre rule with n interior nodes on [a, b].  ValueError when
+    the float grid near [a, b] cannot place the nodes: when a node's offset
+    from the midpoint misses its exact value by more than 1e-6 relative to
+    the half-length, the bound ``_fd_tables`` puts on its spacing."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     x, w = np.polynomial.legendre.leggauss(n)
     # 0.5 * (a + b) would overflow for a and b near the largest float.
     mid, half = 0.5 * a + 0.5 * b, 0.5 * (b - a)
-    return QuadratureRule(mid + half * x, half * w, float(a), float(b))
+    nodes = mid + half * x
+    if np.any(np.abs((nodes - mid) - half * x) > 1e-6 * half):
+        raise ValueError(f"Gauss-Legendre nodes on [{a}, {b}] are unresolved: the float grid there is too coarse for them")
+    return QuadratureRule(nodes, half * w, float(a), float(b))
 
 
 def composite_simpson(n: int, a: float, b: float) -> QuadratureRule:
@@ -66,14 +72,8 @@ def composite_simpson(n: int, a: float, b: float) -> QuadratureRule:
 def flow_rule(flow, nodes_per_segment: int = 64) -> QuadratureRule:
     """Gauss-Legendre rule over the flow interval, one sub-rule per driver
     segment, so piecewise-constant drivers stay analytic on each sub-rule."""
-    if isinstance(flow, RadialFlowSpec):
-        lo, hi, driver = flow.a, flow.b, flow.driver
-    elif isinstance(flow, ChordalFlowSpec):
-        lo, hi, driver = flow.r, flow.s, flow.driver or ()
-    else:
-        raise TypeError(f"unsupported flow spec {type(flow).__name__}")
-    breaks = sorted({lo, hi} | {bp for bp, _ in driver if lo < bp < hi})
-    edges = list(zip(breaks, breaks[1:])) or [(lo, hi)]
+    lo, hi, driver, *_ = _family(flow)
+    edges = [(s0, s1) for s0, s1, _ in _segments(driver, lo, hi)] or [(lo, hi)]
     pieces = [gauss_legendre(nodes_per_segment, s0, s1) for s0, s1 in edges]
     nodes = np.concatenate([p.nodes for p in pieces])
     weights = np.concatenate([p.weights for p in pieces])
@@ -117,17 +117,6 @@ def _node_and_end_table(transition, flow, end: float, rule: QuadratureRule, firs
     return (table[:-1, :p], table[:-1, p:]), (table[-1, :p], table[-1, p:])
 
 
-def _driver_herglotz(flow: RadialFlowSpec, t, w):
-    """phi(t, w): the Herglotz function of the flow's driver measure at time
-    t, evaluated at w; t and w broadcast together."""
-    t, w = np.broadcast_arrays(t, w)
-    out = np.empty(w.shape, dtype=complex)
-    for s in np.unique(t):
-        at = t == s
-        out[at] = herglotz_eval(flow.driver_measure(s), w[at])
-    return out
-
-
 def resolution_check(flow: RadialFlowSpec, rule: QuadratureRule, point_pairs, tol: float = 1e-8) -> IdentityReport:
     """Continuous resolution of the de Branges-Rovnyak kernel along a radial
     flow: 1 + integral of conj(B_t(lam)) B_t(mu) k(t, mu, lam) dt equals
@@ -136,7 +125,7 @@ def resolution_check(flow: RadialFlowSpec, rule: QuadratureRule, point_pairs, to
     lam, mu = (require_disk(c) for c in _columns(point_pairs))
     (b_lam, b_mu), (end_lam, end_mu) = _node_and_end_table(radial_transition, flow, flow.b, rule, lam, mu)
     nodes = rule.nodes[:, None]
-    phi_lam, phi_mu = (_driver_herglotz(flow, nodes, b) for b in (b_lam, b_mu))
+    phi_lam, phi_mu = (driver_herglotz(flow, nodes, b) for b in (b_lam, b_mu))
     denom = 1.0 - lam.conjugate() * mu
     lhs = 1.0 + _integral(rule, b_lam.conjugate() * b_mu * (phi_lam.conjugate() + phi_mu) / denom)
     rhs = (1.0 - end_lam.conjugate() * end_mu) / denom
@@ -175,7 +164,7 @@ def radial_derivative_identity_check(flow: RadialFlowSpec, t, lam, z, h: float =
     denom = 1.0 - lam.conjugate() * z
     quotient = (1.0 - b_lam.conjugate() * b_z) / denom
     fd = (quotient[2] - quotient[0]) / (2.0 * h)
-    kernel = (_driver_herglotz(flow, t, b_lam[1]).conjugate() + _driver_herglotz(flow, t, b_z[1])) / denom
+    kernel = (driver_herglotz(flow, t, b_lam[1]).conjugate() + driver_herglotz(flow, t, b_z[1])) / denom
     rhs = kernel * b_lam[1].conjugate() * b_z[1]
     return _report("radial-derivative", len(t), np.abs(fd - rhs) / np.maximum(1.0, np.abs(rhs)), tol)
 

@@ -11,8 +11,9 @@ requested for it is read off that sweep; a time between grid nodes gets
 one partial step from the last node.  A FlowEscapeError names the first
 point, in flat order of first appearance, whose sweep escapes.
 
-Transition maps take times and points as scalars or numpy arrays that
-broadcast together; a scalar is the 0-d case.
+Transition maps, and ``driver_herglotz`` (the Herglotz function of a
+radial driver's measure at each time), take times and points as scalars or
+numpy arrays that broadcast together; a scalar is the 0-d case.
 """
 
 import math
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, FlowEscapeError
 from .moebius import require_disk, require_halfplane
-from .representations import DIRAC_MINUS_ONE, AtomicMeasure
+from .representations import DIRAC_MINUS_ONE, AtomicMeasure, herglotz_eval
 
 CLOSED_FORM = "closed-form"
 RUNGE_KUTTA = "rk4"
@@ -119,13 +120,6 @@ class RadialFlowSpec:
     @classmethod
     def koebe(cls, a: float, b: float, backend: str = CLOSED_FORM, ode: OdeConfig = None) -> "RadialFlowSpec":
         return cls(a, b, ((float(a), DIRAC_MINUS_ONE),), backend, ode or OdeConfig())
-
-    def driver_measure(self, t: float) -> AtomicMeasure:
-        chosen = self.driver[0][1]
-        for bp, mu in self.driver:
-            if bp <= t + _TIME_SLACK:
-                chosen = mu
-        return chosen
 
 
 @dataclass(frozen=True)
@@ -228,12 +222,35 @@ def _left_halfplane(y: complex) -> bool:
     return y.imag <= CHORDAL_ESCAPE_MARGIN
 
 
-def _rk4_flow(spec):
-    """Start, end, driver, field, escape test and label of a flow's RK4 backend."""
+def _family(spec):
+    """Start, end, driver, RK4 field, escape test, label, transition map and
+    domain guard of a flow spec; the chordal driver None is the Dirac
+    measure at 0.  TypeError for an object that is not a flow spec."""
     if isinstance(spec, RadialFlowSpec):
-        return spec.a, spec.b, spec.driver, _herglotz_field, _left_disk, "radial"
-    driver = spec.driver if spec.driver is not None else ((spec.r, AtomicMeasure.dirac(0.0)),)
-    return spec.r, spec.s, driver, _chordal_field, _left_halfplane, "chordal"
+        return spec.a, spec.b, spec.driver, _herglotz_field, _left_disk, "radial", radial_transition, require_disk
+    if isinstance(spec, ChordalFlowSpec):
+        driver = spec.driver if spec.driver is not None else ((spec.r, AtomicMeasure.dirac(0.0)),)
+        return spec.r, spec.s, driver, _chordal_field, _left_halfplane, "chordal", chordal_transition, require_halfplane
+    raise TypeError(f"unsupported flow spec {type(spec).__name__}")
+
+
+def driver_herglotz(spec: RadialFlowSpec, t, w):
+    """phi(t, w): the Herglotz function of the radial flow's driver measure
+    at time t, evaluated at w; t and w broadcast together.  The measure at
+    t is that of the last breakpoint at or before t + _TIME_SLACK, or the
+    first one's before it; one ``herglotz_eval`` call per segment."""
+    t, w = np.broadcast_arrays(np.asarray(t, dtype=float), w)
+    breakpoints = np.array([bp for bp, _ in spec.driver])
+    segment = np.maximum(np.searchsorted(breakpoints, t + _TIME_SLACK, side="right") - 1, 0)
+    # A 0-d w stays a numpy scalar, whose arithmetic can differ in the last
+    # bit from numpy's array loops: the scalar case matches herglotz_eval.
+    if w.ndim == 0:
+        return herglotz_eval(spec.driver[segment][1], w[()])
+    out = np.empty(w.shape, dtype=complex)
+    for k in np.unique(segment):
+        at = segment == k
+        out[at] = herglotz_eval(spec.driver[k][1], w[at])
+    return out
 
 
 def _sweep(spec, z: complex, times):
@@ -245,7 +262,7 @@ def _sweep(spec, z: complex, times):
     alone.  The state is a Python complex: it is faster per step than a
     numpy scalar, and a driver pole raises ZeroDivisionError instead of
     yielding inf or nan."""
-    start, end, driver, field_of, escaped, what = _rk4_flow(spec)
+    start, end, driver, field_of, escaped, what, *_ = _family(spec)
 
     def advance(y, h, f):
         try:
@@ -334,12 +351,7 @@ def iter_flow_trace(spec, z: complex, n_samples: int):
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    if isinstance(spec, RadialFlowSpec):
-        lo, hi, transition, require = spec.a, spec.b, radial_transition, require_disk
-    elif isinstance(spec, ChordalFlowSpec):
-        lo, hi, transition, require = spec.r, spec.s, chordal_transition, require_halfplane
-    else:
-        raise TypeError(f"unsupported flow spec {type(spec).__name__}")
+    lo, hi, *_, transition, require = _family(spec)
     if not math.isfinite((hi - lo) * (n_samples - 1)):
         raise ValueError(f"sample times of [{lo}, {hi}] at {n_samples} samples overflow a float")
     z = require(z)

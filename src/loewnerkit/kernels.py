@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .flows import RadialFlowSpec, radial_transition
+from .flows import RadialFlowSpec, driver_herglotz, radial_transition
 from .moebius import require_disk, require_halfplane
-from .representations import herglotz_eval
 
 DUPLICATE_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
@@ -32,7 +31,6 @@ class DbrDiskKernel:
     """de Branges-Rovnyak kernel (1 - conj(B(w)) B(z)) / (1 - conj(w) z) on D."""
 
     b_map: object
-    domain = "disk"
 
     def __call__(self, z, w):
         z = require_disk(z)
@@ -45,7 +43,6 @@ class HerglotzSpaceKernel:
     """Herglotz-space kernel (conj(phi(w)) + phi(z)) / (1 - conj(w) z) on D."""
 
     phi: object
-    domain = "disk"
 
     def __call__(self, z, w):
         z = require_disk(z)
@@ -58,7 +55,6 @@ class PickSpaceKernel:
     """Pick-space kernel (phi(z) - conj(phi(w))) / (z - conj(w)) on H."""
 
     phi: object
-    domain = "halfplane"
 
     def __call__(self, z, w):
         z = require_halfplane(z)
@@ -71,7 +67,6 @@ class PaleyWienerKernel:
     """Paley-Wiener kernel sin(2 pi A (z - conj w)) / (pi (z - conj w)) on C."""
 
     bandwidth: float
-    domain = "plane"
 
     def __post_init__(self):
         if not (self.bandwidth > 0.0):
@@ -90,14 +85,11 @@ class LoewnerTimeKernel:
     flow: RadialFlowSpec
     t: float
 
-    domain = "disk"
-
     def __call__(self, z, w):
         z = require_disk(z)
         w = require_disk(w)
-        mu = self.flow.driver_measure(self.t)
-        phi_z = herglotz_eval(mu, radial_transition(self.flow, self.t, z))
-        phi_w = herglotz_eval(mu, radial_transition(self.flow, self.t, w))
+        phi_z = driver_herglotz(self.flow, self.t, radial_transition(self.flow, self.t, z))
+        phi_w = driver_herglotz(self.flow, self.t, radial_transition(self.flow, self.t, w))
         return (phi_w.conjugate() + phi_z) / (1.0 - w.conjugate() * z)
 
 

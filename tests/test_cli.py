@@ -311,6 +311,18 @@ class TestRun:
         assert code == 3 and entry["kind"] == "error"
         assert entry["error"].startswith("step h = 0.0001 is below the time resolution at t = 1000000000000")
 
+    def test_quadrature_nodes_below_time_resolution_are_errors(self, capsys):
+        # One ulp at 1e13 is about 2e-3: the Gauss-Legendre nodes on
+        # [1e13, 1e13 + 1] cannot be placed, so each quadrature suite is an error.
+        code, out = _run(["run", "--suite", "all", "--a", "1e13", "--b", "10000000000001"], capsys)
+        assert code == 3
+        by_suite = {}
+        for entry in json.loads(out)["entries"]:
+            by_suite.setdefault(entry["suite"], []).append(entry)
+        for suite in ("resolution", "koebe-log", "chordal-exp-kernel", "chordal-exp-element"):
+            (entry,) = by_suite[suite]
+            assert entry["kind"] == "error" and "nodes on [10000000000000.0, 10000000000001.0]" in entry["error"]
+
     def test_determinism_same_seed(self, capsys):
         _, out1 = _run(["run", "--suite", "all", "--seed", "1"], capsys)
         _, out2 = _run(["run", "--suite", "all", "--seed", "1"], capsys)

@@ -22,6 +22,7 @@ from loewnerkit import (
     composite_simpson,
     dbr_element,
     flow_rule,
+    flow_trace,
     gauss_legendre,
     herglotz_mixture_check,
     koebe_log_element,
@@ -52,6 +53,8 @@ from loewnerkit.sampling import (
 KOEBE = RadialFlowSpec.koebe(0.0, 1.0)
 SLIT = ChordalFlowSpec.basic_slit(0.0, 1.0)
 RULE = gauss_legendre(64, 0.0, 1.0)
+DIRAC = AtomicMeasure.dirac(-1.0)
+MIX = AtomicMeasure(((-1.0, 0.5), (1.0, 0.5)))
 
 
 class TestQuadrature:
@@ -79,14 +82,40 @@ class TestQuadrature:
         assert np.all(rule.nodes > 1e308) and np.all(rule.nodes < 1.7e308)
         assert gauss_legendre(4, 1e308, 1e308).nodes.tolist() == [1e308] * 4
 
-    def test_flow_rule_splits_on_driver_breakpoints(self):
-        mix = AtomicMeasure(((-1.0, 0.5), (1.0, 0.5)))
-        driver = ((0.0, AtomicMeasure.dirac(-1.0)), (0.4, mix))
-        spec = RadialFlowSpec(0.0, 1.0, driver, backend="rk4")
+    def test_gauss_legendre_nodes_below_time_resolution_rejected(self):
+        # One ulp at 1e13 is about 2e-3, so the nodes would land on a few grid points.
+        with pytest.raises(ValueError, match=r"nodes on \[10000000000000.0, 10000000000001.0\] are unresolved"):
+            gauss_legendre(64, 1e13, 1e13 + 1.0)
+
+    @pytest.mark.parametrize(
+        "spec, pieces",
+        [
+            (RadialFlowSpec(0.0, 1.0, ((0.0, DIRAC), (0.4, MIX)), backend="rk4"), 2),
+            (RadialFlowSpec(0.0, 1.0, ((0.0, DIRAC), (0.4, MIX), (1.5, AtomicMeasure.dirac(1j))), backend="rk4"), 2),
+            (RadialFlowSpec(0.0, 1.0, ((0.0, DIRAC), (1.0, MIX)), backend="rk4"), 1),
+            (RadialFlowSpec(0.3, 0.3, ((0.0, DIRAC), (0.3, MIX), (0.5, AtomicMeasure.dirac(1j))), backend="rk4"), 1),
+            (ChordalFlowSpec.basic_slit(0.2, 1.7), 1),
+            (ChordalFlowSpec(0.2, 1.7, ((0.0, AtomicMeasure.dirac(0.0)), (0.9, AtomicMeasure.dirac(1.5))), backend="rk4"), 2),
+        ],
+        ids=["two-segments", "breakpoint-past-end", "breakpoint-at-end", "a-equals-b", "slit-none", "slit-explicit"],
+    )
+    def test_flow_rule_splits_on_driver_breakpoints(self, spec, pieces):
+        lo, hi = (spec.a, spec.b) if isinstance(spec, RadialFlowSpec) else (spec.r, spec.s)
+        # One sub-rule between consecutive points of {lo, hi} and the breakpoints inside (lo, hi).
+        breaks = sorted({lo, hi} | {bp for bp, _ in spec.driver or () if lo < bp < hi})
+        reference = [gauss_legendre(16, s0, s1) for s0, s1 in list(zip(breaks, breaks[1:])) or [(lo, hi)]]
         rule = flow_rule(spec, 16)
-        assert len(rule.nodes) == 32
-        assert abs(rule.weights.sum() - 1.0) <= 1e-12
-        assert not np.any(np.isclose(rule.nodes, 0.4))
+        assert len(reference) == pieces and (rule.a, rule.b) == (lo, hi)
+        assert np.array_equal(rule.nodes, np.concatenate([p.nodes for p in reference]))
+        assert np.array_equal(rule.weights, np.concatenate([p.weights for p in reference]))
+        assert abs(rule.weights.sum() - (hi - lo)) <= 1e-12
+
+    def test_flow_rule_and_flow_trace_reject_a_non_spec_alike(self):
+        with pytest.raises(TypeError) as from_rule:
+            flow_rule(object(), 16)
+        with pytest.raises(TypeError) as from_trace:
+            flow_trace(object(), 0.1, 3)
+        assert str(from_rule.value) == str(from_trace.value) == "unsupported flow spec object"
 
 
 class TestIntegratedKernel:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loewnerkit import (
     CLOSED_FORM,
@@ -12,7 +14,9 @@ from loewnerkit import (
     OdeConfig,
     RadialFlowSpec,
     chordal_transition,
+    driver_herglotz,
     flow_trace,
+    herglotz_eval,
     koebe_eval,
     radial_transition,
     sqrt_halfplane,
@@ -346,3 +350,39 @@ class TestTrace:
         spec = RadialFlowSpec.koebe(9.83187717309674, 647165.9971964757)
         t, b = flow_trace(spec, 0.3, 14)[-1]
         assert t > spec.b and b == radial_transition(spec, spec.b, 0.3)
+
+
+def _driver_reference(spec, t: float, w):
+    """herglotz_eval of the measure at the last breakpoint <= t + 1e-12, or
+    of the first measure before the first breakpoint."""
+    mu = spec.driver[0][1]
+    for bp, segment_mu in spec.driver:
+        if bp <= t + 1e-12:
+            mu = segment_mu
+    return herglotz_eval(mu, w)
+
+
+_probability_on_circle = st.lists(
+    st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.1, 1.0)), min_size=1, max_size=3
+).map(lambda atoms: AtomicMeasure(tuple((complex(math.cos(a), math.sin(a)), w / sum(w for _, w in atoms)) for a, w in atoms)))
+
+
+class TestDriverHerglotz:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(0.0, 5.0),
+        st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=5),
+        st.lists(_probability_on_circle, min_size=6, max_size=6),
+    )
+    def test_matches_the_scalar_lookup(self, start, gaps, measures):
+        breakpoints = list(np.cumsum([start] + gaps))
+        driver = tuple(zip(breakpoints, measures))
+        spec = RadialFlowSpec(start, breakpoints[-1] + 1.0, driver, backend=RUNGE_KUTTA)
+        offsets = [0.0, -1e-13, 1e-13, -1e-11, 1e-11]
+        times = [bp + d for bp in breakpoints for d in offsets] + [start - 1e-11, start - 0.5]
+        points = np.array([0.0, 0.3 + 0.4j, -0.7j, 0.9])
+        table = driver_herglotz(spec, np.array(times)[:, None], points[None, :])
+        assert table.shape == (len(times), len(points))
+        for row, t in zip(table, times):
+            assert np.array_equal(row, _driver_reference(spec, t, points))
+        assert driver_herglotz(spec, times[0], points[1]) == _driver_reference(spec, times[0], points[1])

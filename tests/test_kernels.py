@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from loewnerkit import (
     BOUNDED,
+    AtomicMeasure,
     INCONCLUSIVE,
     UNBOUNDED,
     DbrDiskKernel,
@@ -93,6 +94,16 @@ class TestKernelEval:
         assert abs(diag - expected) < 1e-14
         bound = 2.0 * (1.0 + abs(bt)) / ((1.0 - abs(lam) ** 2) * (1.0 - abs(bt)))
         assert diag.real <= bound
+
+    @pytest.mark.parametrize("t, segment", [(0.5 - 1e-3, 0), (0.5 - 1e-11, 0), (0.5, 1), (0.5 + 1e-3, 1)])
+    def test_loewner_time_kernel_uses_the_measure_of_its_segment(self, t, segment):
+        mix = AtomicMeasure(((1j, 0.5), (-1j, 0.5)))
+        flow = RadialFlowSpec(0.0, 1.0, ((0.0, DIRAC_MINUS_ONE), (0.5, mix)), backend="rk4")
+        mu = (DIRAC_MINUS_ONE, mix)[segment]
+        z, w = np.array([0.3 + 0.25j, -0.1j]), np.array([0.2, -0.5 + 0.4j])
+        bz, bw = radial_transition(flow, t, z), radial_transition(flow, t, w)
+        expected = (herglotz_eval(mu, bw).conjugate() + herglotz_eval(mu, bz)) / (1.0 - w.conjugate() * z)
+        assert np.array_equal(LoewnerTimeKernel(flow, t)(z, w), expected)
 
     @pytest.mark.parametrize("spec,domain", _catalog())
     def test_hermitian_symmetry(self, spec, domain):
