@@ -7,7 +7,7 @@ sample points confirm this numerically through their smallest eigenvalues.
 
 import numpy as np
 
-from loewnerkit import DbrDiskKernel, LoewnerTimeKernel, RadialFlowSpec, gram, psd_check, radial_transition
+from loewnerkit import DbrDiskKernel, RadialFlowSpec, gram, loewner_time_kernel, psd_check, radial_transition
 from loewnerkit.cli import kernel_catalog
 from loewnerkit.sampling import disk_points
 
@@ -26,7 +26,7 @@ for name, spec, sample in kernel_catalog(0.0, 1.0):
 print()
 print("== Diagonal bound scan (finite surrogate for sup k(z, z)) ==")
 pts = np.asarray(disk_points(40, 2, rmax=0.5))
-scan = float(np.max(LoewnerTimeKernel(koebe, 0.5)(pts, pts).real))
+scan = float(np.max(loewner_time_kernel(koebe, 0.5)(pts, pts).real))
 print(f"max diagonal of the time kernel on |z| <= 0.5: {scan:.6f}")
 
 print()

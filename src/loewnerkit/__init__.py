@@ -17,13 +17,13 @@ from .expansions import (
     chordal_exp_element,
     chordal_exp_element_check,
     chordal_exp_kernel_check,
-    composite_simpson,
     dbr_element,
     flow_rule,
     gauss_legendre,
     herglotz_mixture_check,
     koebe_log_element,
     koebe_log_element_check,
+    loewner_time_kernel,
     nevanlinna_split_check,
     paley_wiener_reconstruction_check,
     pick_constant_element,
@@ -50,7 +50,6 @@ from .kernels import (
     UNBOUNDED,
     DbrDiskKernel,
     HerglotzSpaceKernel,
-    LoewnerTimeKernel,
     MembershipReport,
     PaleyWienerKernel,
     PickSpaceKernel,
@@ -63,7 +62,6 @@ from .representations import (
     DIRAC_MINUS_ONE,
     AtomicMeasure,
     PickRepresentation,
-    herglotz_atom,
     herglotz_eval,
     pick_atom,
     pick_eval,

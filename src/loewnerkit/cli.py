@@ -31,6 +31,7 @@ from .expansions import (
     herglotz_mixture_check,
     koebe_log_element,
     koebe_log_element_check,
+    loewner_time_kernel,
     nevanlinna_split_check,
     paley_wiener_reconstruction_check,
     pick_constant_element,
@@ -52,7 +53,6 @@ from .kernels import (
     UNBOUNDED,
     DbrDiskKernel,
     HerglotzSpaceKernel,
-    LoewnerTimeKernel,
     PaleyWienerKernel,
     PickSpaceKernel,
     gram,
@@ -288,7 +288,7 @@ def kernel_catalog(a: float, b: float):
         ("pick-cayley-image", PickSpaceKernel(pick_phi), functools.partial(halfplane_points, 8)),
         ("paley-wiener", PaleyWienerKernel(1.0), lambda seed: rect_points(8, seed, (-1.0, 1.0, -0.35, 0.35))),
         # 0.5 * (a + b) would overflow for a and b near the largest float.
-        ("loewner-time", LoewnerTimeKernel(flow, 0.5 * a + 0.5 * b), disk),
+        ("loewner-time", loewner_time_kernel(flow, 0.5 * a + 0.5 * b), disk),
     )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import BranchCutError
 from .flows import ChordalFlowSpec, RadialFlowSpec, _family, _segments, chordal_transition, driver_herglotz, radial_transition
-from .kernels import DbrDiskKernel, PaleyWienerKernel, PickSpaceKernel, gram
+from .kernels import DbrDiskKernel, HerglotzSpaceKernel, PaleyWienerKernel, PickSpaceKernel, gram
 from .moebius import cayley_to_disk, cayley_to_halfplane, require_disk, require_halfplane
 from .representations import AtomicMeasure, PickRepresentation, herglotz_eval, pick_eval
 
@@ -54,19 +54,6 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     if np.any(np.abs((nodes - mid) - half * x) > 1e-6 * half):
         raise ValueError(f"Gauss-Legendre nodes on [{a}, {b}] are unresolved: the float grid there is too coarse for them")
     return QuadratureRule(nodes, half * w, float(a), float(b))
-
-
-def composite_simpson(n: int, a: float, b: float) -> QuadratureRule:
-    """Composite Simpson rule with n (even) subintervals on [a, b]."""
-    n = int(n)
-    if n < 2 or n % 2:
-        raise ValueError("n must be an even integer >= 2")
-    h = (b - a) / n
-    nodes = a + h * np.arange(n + 1)
-    weights = np.full(n + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    return QuadratureRule(nodes, weights * h / 3.0, float(a), float(b))
 
 
 def flow_rule(flow, nodes_per_segment: int = 64) -> QuadratureRule:
@@ -117,11 +104,17 @@ def _node_and_end_table(transition, flow, end: float, rule: QuadratureRule, firs
     return (table[:-1, :p], table[:-1, p:]), (table[-1, :p], table[-1, p:])
 
 
+def loewner_time_kernel(flow: RadialFlowSpec, t: float) -> HerglotzSpaceKernel:
+    """Time-t kernel of a radial flow with Herglotz driver phi: the
+    Herglotz-space kernel of z -> phi(t, B_t(z))."""
+    return HerglotzSpaceKernel(lambda z: driver_herglotz(flow, t, radial_transition(flow, t, z)))
+
+
 def resolution_check(flow: RadialFlowSpec, rule: QuadratureRule, point_pairs, tol: float = 1e-8) -> IdentityReport:
     """Continuous resolution of the de Branges-Rovnyak kernel along a radial
     flow: 1 + integral of conj(B_t(lam)) B_t(mu) k(t, mu, lam) dt equals
     (1 - conj(B_b(lam)) B_b(mu)) / (1 - conj(lam) mu), where k(t, ., .) is
-    the time-t kernel of ``LoewnerTimeKernel``."""
+    the time-t kernel of ``loewner_time_kernel``."""
     lam, mu = (require_disk(c) for c in _columns(point_pairs))
     (b_lam, b_mu), (end_lam, end_mu) = _node_and_end_table(radial_transition, flow, flow.b, rule, lam, mu)
     nodes = rule.nodes[:, None]

@@ -58,6 +58,8 @@ def _validate_driver(driver, start: float, on_circle: bool):
         raise ValueError("driver breakpoints must be strictly increasing")
     if breakpoints[0] > start + _TIME_SLACK:
         raise ValueError(f"first driver breakpoint {breakpoints[0]} must cover the interval start {start}")
+    if breakpoints[0] > start:  # within the slack: the grid and the rules start at the interval start
+        driver = ((start, driver[0][1]),) + driver[1:]
     for _, mu in driver:
         if not isinstance(mu, AtomicMeasure):
             raise ValueError("driver segments must carry AtomicMeasure values")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .flows import RadialFlowSpec, driver_herglotz, radial_transition
 from .moebius import require_disk, require_halfplane
 
 DUPLICATE_TOL = 1e-10
@@ -75,22 +74,6 @@ class PaleyWienerKernel:
     def __call__(self, z, w):
         two_a = 2.0 * self.bandwidth
         return two_a * np.sinc(two_a * (z - np.conjugate(w)))
-
-
-@dataclass(frozen=True)
-class LoewnerTimeKernel:
-    """Time-t kernel (conj(phi(t, B_t(w))) + phi(t, B_t(z))) / (1 - conj(w) z)
-    of a radial Loewner flow with Herglotz driver phi."""
-
-    flow: RadialFlowSpec
-    t: float
-
-    def __call__(self, z, w):
-        z = require_disk(z)
-        w = require_disk(w)
-        phi_z = driver_herglotz(self.flow, self.t, radial_transition(self.flow, self.t, z))
-        phi_w = driver_herglotz(self.flow, self.t, radial_transition(self.flow, self.t, w))
-        return (phi_w.conjugate() + phi_z) / (1.0 - w.conjugate() * z)
 
 
 def gram(spec, points) -> np.ndarray:

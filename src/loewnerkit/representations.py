@@ -11,7 +11,6 @@ elementwise; a scalar is the 0-d case.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
 from .moebius import require_disk, require_halfplane
 
 UNIT_MODULUS_TOL = 1e-12
@@ -87,20 +86,6 @@ class PickRepresentation:
         poisson_mass = sum(w / (1.0 + t.real**2) for t, w in self.mu.atoms)
         if not math.isfinite(poisson_mass):
             raise ValueError("sum of w/(1+t^2) must be finite")
-
-
-def _require_unit_modulus(xi: complex) -> complex:
-    xi = complex(xi)
-    if abs(abs(xi) - 1.0) > UNIT_MODULUS_TOL:
-        raise DomainError(f"xi = {xi} is not on the unit circle")
-    return xi
-
-
-def herglotz_atom(xi: complex, z):
-    """Elementary Herglotz function (1 + xi z)/(1 - xi z) for |xi| = 1, z in D."""
-    xi = _require_unit_modulus(xi)
-    z = require_disk(z)
-    return (1.0 + xi * z) / (1.0 - xi * z)
 
 
 def herglotz_eval(mu: AtomicMeasure, z):

@@ -12,6 +12,7 @@ from loewnerkit import (
     ChordalFlowSpec,
     PickRepresentation,
     PickSpaceKernel,
+    QuadratureRule,
     RadialFlowSpec,
     cayley_isometry_check,
     chordal_derivative_identity_check,
@@ -19,7 +20,6 @@ from loewnerkit import (
     chordal_exp_element_check,
     chordal_exp_kernel_check,
     chordal_transition,
-    composite_simpson,
     dbr_element,
     flow_rule,
     flow_trace,
@@ -62,14 +62,6 @@ class TestQuadrature:
         rule = gauss_legendre(32, 0.25, 1.75)
         assert abs(rule.weights.sum() - 1.5) <= 1e-12
         assert np.all(rule.nodes > 0.25) and np.all(rule.nodes < 1.75)
-
-    def test_simpson_weights(self):
-        rule = composite_simpson(16, 0.0, 2.0)
-        assert abs(rule.weights.sum() - 2.0) <= 1e-12
-
-    def test_simpson_odd_subintervals_rejected(self):
-        with pytest.raises(ValueError):
-            composite_simpson(3, 0.0, 1.0)
 
     def test_gauss_legendre_polynomial_exactness(self):
         rule = gauss_legendre(4, -1.0, 2.0)
@@ -158,7 +150,11 @@ class TestResolution:
 
     def test_simpson_backend_cross_check(self):
         pairs = disk_pairs(10, 1, rmax=DISK_RMAX_SAFE)
-        report = resolution_check(KOEBE, composite_simpson(64, 0, 1), pairs, tol=1e-5)
+        weights = np.full(65, 2.0)  # composite Simpson, 64 subintervals of [0, 1]
+        weights[1::2] = 4.0
+        weights[0] = weights[-1] = 1.0
+        simpson = QuadratureRule(np.linspace(0.0, 1.0, 65), weights / (3.0 * 64), 0.0, 1.0)
+        report = resolution_check(KOEBE, simpson, pairs, tol=1e-5)
         assert report.passed
 
 

@@ -15,6 +15,7 @@ from loewnerkit import (
     RadialFlowSpec,
     chordal_transition,
     driver_herglotz,
+    flow_rule,
     flow_trace,
     herglotz_eval,
     koebe_eval,
@@ -195,6 +196,21 @@ def test_broadcast_tables_match_scalar_calls(backend):
             assert np.array_equal(table, reference)
         else:
             assert np.max(np.abs(table - reference)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "spec, transition, z",
+    [
+        (RadialFlowSpec(0.3, 1.0, ((0.3 + 5e-13, AtomicMeasure.dirac(-1.0)),), backend=RUNGE_KUTTA), radial_transition, 0.5),
+        (ChordalFlowSpec(0.3, 1.0, ((0.3 + 5e-13, AtomicMeasure.dirac(0.0)),), backend=RUNGE_KUTTA), chordal_transition, 1j),
+    ],
+    ids=["radial", "chordal"],
+)
+def test_first_breakpoint_within_the_slack_snaps_to_the_start(spec, transition, z):
+    start, end = (spec.a, spec.b) if isinstance(spec, RadialFlowSpec) else (spec.r, spec.s)
+    assert spec.driver[0][0] == start
+    assert transition(spec, start, z) == z
+    assert abs(flow_rule(spec, 16).weights.sum() - (end - start)) <= 1e-15
 
 
 def _restart_reference(spec, t, z):

@@ -13,13 +13,12 @@ from loewnerkit import (
     UNBOUNDED,
     DbrDiskKernel,
     HerglotzSpaceKernel,
-    LoewnerTimeKernel,
     PaleyWienerKernel,
     PickSpaceKernel,
     RadialFlowSpec,
     gram,
-    herglotz_atom,
     herglotz_eval,
+    loewner_time_kernel,
     membership_test,
     psd_check,
     radial_transition,
@@ -50,10 +49,10 @@ def _pick_phi(w):
 def _catalog():
     return [
         (DbrDiskKernel(_koebe_end), "disk"),
-        (HerglotzSpaceKernel(lambda z: herglotz_atom(-1.0, z)), "disk"),
+        (HerglotzSpaceKernel(lambda z: herglotz_eval(DIRAC_MINUS_ONE, z)), "disk"),
         (PickSpaceKernel(_pick_phi), "halfplane"),
         (PaleyWienerKernel(1.0), "plane"),
-        (LoewnerTimeKernel(KOEBE, 0.5), "disk"),
+        (loewner_time_kernel(KOEBE, 0.5), "disk"),
     ]
 
 
@@ -85,7 +84,7 @@ class TestKernelEval:
             assert abs(k(0.2 + xi, 0.2) - direct) < 1e-12
 
     def test_loewner_time_diagonal_formula_and_bound(self):
-        k = LoewnerTimeKernel(KOEBE, 0.5)
+        k = loewner_time_kernel(KOEBE, 0.5)
         lam = 0.3 + 0.25j
         bt = radial_transition(KOEBE, 0.5, lam)
         expected = 2.0 * herglotz_eval(DIRAC_MINUS_ONE, bt).real / (1.0 - abs(lam) ** 2)
@@ -103,7 +102,7 @@ class TestKernelEval:
         z, w = np.array([0.3 + 0.25j, -0.1j]), np.array([0.2, -0.5 + 0.4j])
         bz, bw = radial_transition(flow, t, z), radial_transition(flow, t, w)
         expected = (herglotz_eval(mu, bw).conjugate() + herglotz_eval(mu, bz)) / (1.0 - w.conjugate() * z)
-        assert np.array_equal(LoewnerTimeKernel(flow, t)(z, w), expected)
+        assert np.array_equal(loewner_time_kernel(flow, t)(z, w), expected)
 
     @pytest.mark.parametrize("spec,domain", _catalog())
     def test_hermitian_symmetry(self, spec, domain):
@@ -176,7 +175,7 @@ class TestPsdCheck:
         assert abs(min_eig + 1.0) < 1e-12 and not ok
 
     def test_herglotz_gram_passes(self):
-        g = gram(HerglotzSpaceKernel(lambda z: herglotz_atom(-1.0, z)), disk_points(8, 3))
+        g = gram(HerglotzSpaceKernel(lambda z: herglotz_eval(DIRAC_MINUS_ONE, z)), disk_points(8, 3))
         _, ok = psd_check(g, 1e-8)
         assert ok
 
@@ -192,7 +191,7 @@ def test_rank_one_factorization_of_elementary_herglotz_kernel():
     rng = np.random.RandomState(17)
     for _ in range(100):
         xi = cmath.exp(1j * rng.uniform(0, 2 * np.pi))
-        k = HerglotzSpaceKernel(lambda z, xi=xi: herglotz_atom(xi, z))
+        k = HerglotzSpaceKernel(lambda z, mu=AtomicMeasure.dirac(xi): herglotz_eval(mu, z))
         r = 0.95 * np.sqrt(rng.uniform(size=2))
         th = rng.uniform(0, 2 * np.pi, size=2)
         z, w = (complex(a * np.cos(b), a * np.sin(b)) for a, b in zip(r, th))
@@ -212,8 +211,9 @@ def _per_level_oracle(spec, func, sets, eps):
     """v* (K_l + eps I)^{-1} v by an independent dense solve on every level."""
     out = []
     for s in sets:
-        k = np.array([[spec(z, w) for w in s] for z in s], dtype=complex)
-        v = np.array([func(p) for p in s], dtype=complex)
+        p = np.array(s, dtype=complex)
+        k = np.asarray(spec(p[:, None], p[None, :]), dtype=complex)
+        v = np.array([func(z) for z in s], dtype=complex)
         out.append(float(np.real(np.vdot(v, np.linalg.solve(k + eps * np.eye(len(s)), v)))))
     return out
 
@@ -384,7 +384,7 @@ class TestDiagBoundScan:
         assert np.max(np.abs(DbrDiskKernel(lambda z: z)(pts, pts) - 1.0)) < 1e-14
 
     def test_loewner_kernel_respects_closed_form_bound(self):
-        spec = LoewnerTimeKernel(KOEBE, 0.5)
+        spec = loewner_time_kernel(KOEBE, 0.5)
         sample = np.asarray(disk_points(25, 3, rmax=0.5))
         diagonal = spec(sample, sample).real
         bt = radial_transition(KOEBE, 0.5, sample)

@@ -6,7 +6,6 @@ import pytest
 from loewnerkit import (
     AtomicMeasure,
     PickRepresentation,
-    herglotz_atom,
     herglotz_eval,
     pick_atom,
     pick_eval,
@@ -34,15 +33,11 @@ class TestAtomicMeasure:
 
 class TestHerglotz:
     def test_atom_at_origin(self):
-        assert herglotz_atom(-1.0, 0.0) == 1.0
+        assert herglotz_eval(AtomicMeasure.dirac(-1.0), 0.0) == 1.0
 
     def test_atom_hand_values(self):
-        assert abs(herglotz_atom(-1.0, 0.5) - 1.0 / 3.0) < 1e-15
-        assert abs(herglotz_atom(1.0, 0.5) - 3.0) < 1e-15
-
-    def test_atom_requires_unit_modulus(self):
-        with pytest.raises(DomainError):
-            herglotz_atom(0.5, 0.1)
+        assert abs(herglotz_eval(AtomicMeasure.dirac(-1.0), 0.5) - 1.0 / 3.0) < 1e-15
+        assert abs(herglotz_eval(AtomicMeasure.dirac(1.0), 0.5) - 3.0) < 1e-15
 
     def test_dirac_minus_one_closed_form(self):
         mu = AtomicMeasure.dirac(-1.0)
