@@ -1,9 +1,12 @@
 """Radial and chordal Loewner transition maps, two backends each.
 
 The radial family on the disk solves dB/dt = -B phi(t, B) with a Herglotz
-driver; the Koebe driver (Dirac at -1) admits a closed form through the
-inverse of e^t z/(1-z)^2.  The chordal family on the half-plane solves
-dB/ds = -1/B in the basic slit case, with closed form sqrt(z^2 - 2(s-r)).
+driver; the chordal family on the half-plane solves dB/ds = P(s, B) with
+P(s, w) = sum of c / (x - w) over the atoms of its driver.  A driver that is
+a single atom on each segment admits a closed form, one exact map per
+segment: the Koebe driver (Dirac at -1) goes through the inverse of
+e^t z/(1-z)^2, and the basic slit (Dirac at 0) gives sqrt(z^2 - 2(s-r)).
+A multi-atom measure needs RK4.
 """
 
 import math

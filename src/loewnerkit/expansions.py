@@ -59,8 +59,8 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
 def flow_rule(flow, nodes_per_segment: int = 64) -> QuadratureRule:
     """Gauss-Legendre rule over the flow interval, one sub-rule per driver
     segment, so piecewise-constant drivers stay analytic on each sub-rule."""
-    lo, hi, driver, *_ = _family(flow)
-    edges = [(s0, s1) for s0, s1, _ in _segments(driver, lo, hi)] or [(lo, hi)]
+    lo, hi, *_ = _family(flow)
+    edges = [(s0, s1) for s0, s1, _ in _segments(flow.driver, lo, hi)] or [(lo, hi)]
     pieces = [gauss_legendre(nodes_per_segment, s0, s1) for s0, s1 in edges]
     nodes = np.concatenate([p.nodes for p in pieces])
     weights = np.concatenate([p.weights for p in pieces])
@@ -180,26 +180,20 @@ def chordal_derivative_identity_check(flow: ChordalFlowSpec, t, alpha, z, h: flo
 
 
 def dbr_element(flow: RadialFlowSpec, h, lam: complex, rule: QuadratureRule):
-    """Evaluable element of the de Branges-Rovnyak space of B_b built from a
-    bounded function h on the flow interval (Koebe-driver case):
-
-        F(z) = integral of B_t(z) * (1 - conj(B_t(lam)) B_t(z)) / (1 - conj(lam) z)
-               * h(t) / ((1 + conj(B_t(lam))) (1 + B_t(z))) dt.
-
-    The element takes z as a scalar or a numpy array.
-    """
+    """Evaluable element F(z) = integral of (h(t) / 2) B_t(z) k(t, z, lam) dt
+    of the de Branges-Rovnyak space of B_b, for a bounded function h on the
+    flow interval and k(t, ., .) the time-t kernel of ``loewner_time_kernel``;
+    it takes z as a scalar or a numpy array."""
     lam = require_disk(lam)
-    h_fn = h if callable(h) else (lambda _t, _v=float(h): _v)
     nodes = rule.nodes[:, None]
-    b_lam = radial_transition(flow, nodes, lam).conjugate()
-    h_vals = np.array([float(h_fn(t)) for t in rule.nodes])[:, None]
+    phi_lam = driver_herglotz(flow, nodes, radial_transition(flow, nodes, lam)).conjugate()
+    half_h = 0.5 * np.array([float(h(t) if callable(h) else h) for t in rule.nodes])[:, None]
 
     def element(z):
         z = require_disk(z)
         flat = np.reshape(z, -1)
         bz = radial_transition(flow, nodes, flat)
-        denom = 1.0 - lam.conjugate() * flat
-        table = bz * ((1.0 - b_lam * bz) / denom) * (h_vals / ((1.0 + b_lam) * (1.0 + bz)))
+        table = half_h * bz * (phi_lam + driver_herglotz(flow, nodes, bz)) / (1.0 - lam.conjugate() * flat)
         return np.reshape(_integral(rule, table), np.shape(z))[()]
 
     return element

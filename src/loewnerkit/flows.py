@@ -1,9 +1,9 @@
 """Radial and chordal Loewner transition maps.
 
-Each family is evaluated either by closed form (Koebe semigroup on the
-disk, basic slit map on the half-plane) or by fixed-step classical RK4
-integration of the corresponding Loewner ODE.  Drivers are piecewise
-constant in time.  The RK4 grid belongs to the spec: each driver segment
+Drivers are piecewise constant in time.  A driver that is a single atom on
+every segment has a closed form, one exact map per segment (Kager, Nienhuis
+and Kadanoff, J. Stat. Phys. 115, 2004); any driver can be integrated by
+fixed-step classical RK4.  The RK4 grid belongs to the spec: each driver segment
 of the flow interval is split into ceil(length / step) equal steps, so
 segment breakpoints always coincide with step boundaries.  Each distinct
 starting point is integrated in one forward sweep, and every time
@@ -54,6 +54,8 @@ def _validate_driver(driver, start: float, on_circle: bool):
     if not driver:
         raise ValueError("driver needs at least one (breakpoint, measure) segment")
     breakpoints = [bp for bp, _ in driver]
+    if not all(math.isfinite(bp) for bp in breakpoints):  # nan passes every comparison below
+        raise ValueError(f"driver breakpoints {breakpoints} must be finite")
     if any(t1 <= t0 for t0, t1 in zip(breakpoints, breakpoints[1:])):
         raise ValueError("driver breakpoints must be strictly increasing")
     if breakpoints[0] > start + _TIME_SLACK:
@@ -73,22 +75,18 @@ def _validate_driver(driver, start: float, on_circle: bool):
     return driver
 
 
-def _check_rk4_grid(spec, start: float, end: float):
-    if spec.backend != RUNGE_KUTTA:
-        return
-    if end > start and spec.ode.step > (end - start) + _TIME_SLACK:
-        raise ValueError("ODE step exceeds the flow interval")
-    steps = (end - start) / spec.ode.step
-    if steps > MAX_RK4_STEPS:
-        raise ValueError(f"RK4 grid of {steps:.3g} steps exceeds MAX_RK4_STEPS = {MAX_RK4_STEPS}")
-
-
-def _is_dirac_minus_one(mu: AtomicMeasure) -> bool:
-    return (
-        len(mu.atoms) == 1
-        and abs(mu.atoms[0][0] - (-1.0)) <= 1e-12
-        and abs(mu.atoms[0][1] - 1.0) <= 1e-12
-    )
+def _check_backend(spec, start: float, end: float, driver):
+    if spec.backend == CLOSED_FORM:
+        if any(len(mu.atoms) != 1 for _, mu in driver):
+            raise ValueError("closed-form backend requires a single-atom measure on every driver segment; use backend='rk4'")
+    elif spec.backend == RUNGE_KUTTA:
+        if end > start and spec.ode.step > (end - start) + _TIME_SLACK:
+            raise ValueError("ODE step exceeds the flow interval")
+        steps = (end - start) / spec.ode.step
+        if steps > MAX_RK4_STEPS:
+            raise ValueError(f"RK4 grid of {steps:.3g} steps exceeds MAX_RK4_STEPS = {MAX_RK4_STEPS}")
+    else:
+        raise ValueError(f"unknown backend {spec.backend!r}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +95,6 @@ class RadialFlowSpec:
 
     ``driver`` is a sorted tuple of (breakpoint, probability measure on the
     circle); the measure at the k-th breakpoint applies until the next one.
-    The closed-form backend is only valid for the Koebe semigroup, whose
-    driver is identically the Dirac measure at -1.
     """
 
     a: float
@@ -113,11 +109,7 @@ class RadialFlowSpec:
         if not (0.0 <= self.a <= self.b) or not math.isfinite(self.b):
             raise ValueError(f"interval [{self.a}, {self.b}] must satisfy 0 <= a <= b < inf")
         object.__setattr__(self, "driver", _validate_driver(self.driver, self.a, on_circle=True))
-        if self.backend not in (CLOSED_FORM, RUNGE_KUTTA):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == CLOSED_FORM and not all(_is_dirac_minus_one(mu) for _, mu in self.driver):
-            raise ValueError("closed-form radial backend requires the Koebe driver (Dirac at -1)")
-        _check_rk4_grid(self, self.a, self.b)
+        _check_backend(self, self.a, self.b, self.driver)
 
     @classmethod
     def koebe(cls, a: float, b: float, backend: str = CLOSED_FORM, ode: OdeConfig = None) -> "RadialFlowSpec":
@@ -128,14 +120,13 @@ class RadialFlowSpec:
 class ChordalFlowSpec:
     """Chordal Loewner transition family B_{r s} on the upper half-plane.
 
-    ``driver`` is either None (the basic slit case, a Dirac measure at 0)
-    or a sorted tuple of (breakpoint, measure on the real line).  The
-    closed-form backend is only valid for the basic slit.
+    ``driver`` is a sorted tuple of (breakpoint, measure on the real line);
+    the measure at the k-th breakpoint applies until the next one.
     """
 
     r: float
     s: float
-    driver: tuple = None
+    driver: tuple
     backend: str = CLOSED_FORM
     ode: OdeConfig = field(default_factory=OdeConfig)
 
@@ -144,17 +135,12 @@ class ChordalFlowSpec:
         object.__setattr__(self, "s", float(self.s))
         if not (0.0 <= self.r <= self.s) or not math.isfinite(self.s):
             raise ValueError(f"interval [{self.r}, {self.s}] must satisfy 0 <= r <= s < inf")
-        if self.driver is not None:
-            object.__setattr__(self, "driver", _validate_driver(self.driver, self.r, on_circle=False))
-        if self.backend not in (CLOSED_FORM, RUNGE_KUTTA):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == CLOSED_FORM and self.driver is not None:
-            raise ValueError("closed-form chordal backend requires the basic slit driver (None)")
-        _check_rk4_grid(self, self.r, self.s)
+        object.__setattr__(self, "driver", _validate_driver(self.driver, self.r, on_circle=False))
+        _check_backend(self, self.r, self.s, self.driver)
 
     @classmethod
     def basic_slit(cls, r: float, s: float, backend: str = CLOSED_FORM, ode: OdeConfig = None) -> "ChordalFlowSpec":
-        return cls(r, s, None, backend, ode or OdeConfig())
+        return cls(r, s, ((float(r), AtomicMeasure.dirac(0.0)),), backend, ode or OdeConfig())
 
 
 def koebe_eval(t, z):
@@ -164,11 +150,9 @@ def koebe_eval(t, z):
 
 
 def sqrt_halfplane(w):
-    """Square root branch mapping into the upper half-plane: i * principal_sqrt(-w).
-
-    Continuous along the slit flow because z^2 - 2*tau never lies on
-    [0, inf) for z in H and tau >= 0, keeping -w off the principal cut.
-    """
+    """Square root branch i * principal_sqrt(-w) onto the upper half-plane;
+    continuous along chordal flows, where w = (z - x)^2 - 2 c t never lies on
+    [0, inf) for z in H, real x and c t >= 0."""
     return 1j * np.sqrt(-np.asarray(w, dtype=complex))
 
 
@@ -177,6 +161,36 @@ def _koebe_inverse(u):
     # and avoids catastrophic cancellation near u = 0.  The Koebe image
     # omits (-inf, -1/4], so 1 + 4u stays off the principal cut.
     return 2.0 * u / (1.0 + 2.0 * u + np.sqrt(1.0 + 4.0 * u))
+
+
+def _radial_segment(mu: AtomicMeasure, dt, w):
+    # Under v = -xi w the field of a Dirac of mass m at xi becomes m times
+    # the Koebe field, whose invariant v / (1 - v)^2 decays as exp(-m dt).
+    ((xi, m),) = mu.atoms
+    v = -xi * w
+    return -xi.conjugate() * _koebe_inverse(np.exp(-(m * dt)) * v / (1.0 - v) ** 2)
+
+
+def _chordal_segment(mu: AtomicMeasure, dt, w):
+    # dB/dt = c / (x - B) keeps (B - x)^2 + 2 c t constant.
+    ((x, c),) = mu.atoms
+    d = w - x.real
+    return x.real + sqrt_halfplane(d * d - 2.0 * c * dt)
+
+
+def _closed_form(segment_map, driver, start: float, end: float, t, z):
+    """B_t(z), the exact maps of the driver segments of [start, t] composed; t lies in [start, end]."""
+    w = z if start < end else np.broadcast_to(z, np.broadcast(t, z).shape).copy()
+    for lo, hi, mu in _segments(driver, start, end):
+        # On a scalar, np.where and clamping t to [lo, hi] cost more than the
+        # segment map; the clamp is a no-op at the interval's own ends.
+        dt = (t if hi == end else np.minimum(t, hi)) - lo
+        dt = dt if lo == start else np.maximum(dt, 0.0)
+        if dt.ndim or w.ndim:
+            w = np.where(dt > 0.0, segment_map(mu, dt, w), w)
+        elif dt > 0.0:
+            w = segment_map(mu, dt, w)
+    return w[()]
 
 
 def _rk4_step(y: complex, h: float, f) -> complex:
@@ -225,14 +239,12 @@ def _left_halfplane(y: complex) -> bool:
 
 
 def _family(spec):
-    """Start, end, driver, RK4 field, escape test, label, transition map and
-    domain guard of a flow spec; the chordal driver None is the Dirac
-    measure at 0.  TypeError for an object that is not a flow spec."""
+    """Start, end, RK4 field, escape test, label, transition map and domain
+    guard of a flow spec; TypeError for an object that is not one."""
     if isinstance(spec, RadialFlowSpec):
-        return spec.a, spec.b, spec.driver, _herglotz_field, _left_disk, "radial", radial_transition, require_disk
+        return spec.a, spec.b, _herglotz_field, _left_disk, "radial", radial_transition, require_disk
     if isinstance(spec, ChordalFlowSpec):
-        driver = spec.driver if spec.driver is not None else ((spec.r, AtomicMeasure.dirac(0.0)),)
-        return spec.r, spec.s, driver, _chordal_field, _left_halfplane, "chordal", chordal_transition, require_halfplane
+        return spec.r, spec.s, _chordal_field, _left_halfplane, "chordal", chordal_transition, require_halfplane
     raise TypeError(f"unsupported flow spec {type(spec).__name__}")
 
 
@@ -264,7 +276,7 @@ def _sweep(spec, z: complex, times):
     alone.  The state is a Python complex: it is faster per step than a
     numpy scalar, and a driver pole raises ZeroDivisionError instead of
     yielding inf or nan."""
-    start, end, driver, field_of, escaped, what, *_ = _family(spec)
+    start, end, field_of, escaped, what, *_ = _family(spec)
 
     def advance(y, h, f):
         try:
@@ -278,7 +290,7 @@ def _sweep(spec, z: complex, times):
     times = iter(times)
     t = next(times, None)
     y = z
-    for lo, hi, mu in _segments(driver, start, end):
+    for lo, hi, mu in _segments(spec.driver, start, end):
         f = field_of(mu)
         n = max(1, math.ceil((hi - lo) / spec.ode.step - _TIME_SLACK))
         h = (hi - lo) / n
@@ -329,8 +341,7 @@ def radial_transition(spec: RadialFlowSpec, t, z):
     t = _flow_times(t, spec.a, spec.b, "t")
     z = require_disk(z)
     if spec.backend == CLOSED_FORM:
-        u = np.exp(spec.a - t) * z / (1.0 - z) ** 2
-        return np.where(t <= spec.a, z, _koebe_inverse(u))[()]
+        return _closed_form(_radial_segment, spec.driver, spec.a, spec.b, t, z)
     return _integrate(spec, t, z)
 
 
@@ -341,7 +352,7 @@ def chordal_transition(spec: ChordalFlowSpec, s, z):
     s = _flow_times(s, spec.r, spec.s, "s")
     z = require_halfplane(z)
     if spec.backend == CLOSED_FORM:
-        return np.where(s <= spec.r, z, sqrt_halfplane(z * z - 2.0 * (s - spec.r)))[()]
+        return _closed_form(_chordal_segment, spec.driver, spec.r, spec.s, s, z)
     return _integrate(spec, s, z)
 
 

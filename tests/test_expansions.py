@@ -89,12 +89,12 @@ class TestQuadrature:
             (ChordalFlowSpec.basic_slit(0.2, 1.7), 1),
             (ChordalFlowSpec(0.2, 1.7, ((0.0, AtomicMeasure.dirac(0.0)), (0.9, AtomicMeasure.dirac(1.5))), backend="rk4"), 2),
         ],
-        ids=["two-segments", "breakpoint-past-end", "breakpoint-at-end", "a-equals-b", "slit-none", "slit-explicit"],
+        ids=["two-segments", "breakpoint-past-end", "breakpoint-at-end", "a-equals-b", "slit-basic", "slit-explicit"],
     )
     def test_flow_rule_splits_on_driver_breakpoints(self, spec, pieces):
         lo, hi = (spec.a, spec.b) if isinstance(spec, RadialFlowSpec) else (spec.r, spec.s)
         # One sub-rule between consecutive points of {lo, hi} and the breakpoints inside (lo, hi).
-        breaks = sorted({lo, hi} | {bp for bp, _ in spec.driver or () if lo < bp < hi})
+        breaks = sorted({lo, hi} | {bp for bp, _ in spec.driver if lo < bp < hi})
         reference = [gauss_legendre(16, s0, s1) for s0, s1 in list(zip(breaks, breaks[1:])) or [(lo, hi)]]
         rule = flow_rule(spec, 16)
         assert len(reference) == pieces and (rule.a, rule.b) == (lo, hi)
@@ -265,6 +265,26 @@ class TestDbrElement:
         f12 = dbr_element(KOEBE, lambda t: 1.0 + t * t, lam, RULE)
         for z in disk_points(10, 6):
             assert abs(f12(z) - f1(z) - f2(z)) <= 1e-12
+
+    def test_koebe_flow_matches_the_koebe_integrand(self):
+        # With phi(w) = (1 - w) / (1 + w), half of conj(phi(u)) + phi(w) is
+        # (1 - conj(u) w) / ((1 + conj(u)) (1 + w)).
+        lam, z = 0.3 + 0.2j, np.array([0.4 - 0.1j, -0.5j, 0.0, 0.6])
+        nodes = RULE.nodes[:, None]
+        b_lam = radial_transition(KOEBE, nodes, lam).conjugate()
+        bz = radial_transition(KOEBE, nodes, z)
+        table = bz * (1.0 - b_lam * bz) / (1.0 - lam.conjugate() * z) * np.cos(7.0 * nodes) / ((1.0 + b_lam) * (1.0 + bz))
+        element = dbr_element(KOEBE, lambda t: math.cos(7.0 * t), lam, RULE)
+        assert np.max(np.abs(element(z) - RULE.weights @ table)) <= 1e-14
+
+    def test_three_segment_driver_closed_form_matches_rk4(self):
+        driver = ((0.0, DIRAC), (0.3, AtomicMeasure.dirac(complex(math.cos(2.1), math.sin(2.1)))), (0.7, AtomicMeasure.dirac(1j)))
+        exact = RadialFlowSpec(0.0, 1.0, driver)
+        rk4 = RadialFlowSpec(0.0, 1.0, driver, backend="rk4")
+        rule = flow_rule(exact, 16)
+        z = np.array([0.4 - 0.1j, -0.5j, 0.6])
+        for h, lam in ((1.0, 0.0), (lambda t: math.cos(7.0 * t), 0.3 + 0.2j)):
+            assert np.max(np.abs(dbr_element(exact, h, lam, rule)(z) - dbr_element(rk4, h, lam, rule)(z))) <= 1e-10
 
 
 class TestKoebeLogElement:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,10 +107,11 @@ class TestRadial:
         with pytest.raises(FlowEscapeError, match=r"from \(0\.99999999995"):
             radial_transition(spec, 1.0, np.array([0.3, 0.99999999995, 0.9999999999]))
 
-    def test_closed_form_requires_koebe_driver(self):
+    def test_closed_form_rejects_multi_atom_measure(self):
         mix = AtomicMeasure(((-1.0, 0.5), (1.0, 0.5)))
-        with pytest.raises(ValueError):
-            RadialFlowSpec(0.0, 1.0, ((0.0, mix),), backend=CLOSED_FORM)
+        for driver in (((0.0, mix),), ((0.0, AtomicMeasure.dirac(1j)), (0.5, mix))):
+            with pytest.raises(ValueError, match="single-atom"):
+                RadialFlowSpec(0.0, 1.0, driver, backend=CLOSED_FORM)
 
     def test_step_larger_than_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -174,9 +176,11 @@ class TestChordal:
         with pytest.raises(FlowEscapeError):
             chordal_transition(spec, 1.0, 1.0 + 1e-10j)
 
-    def test_closed_form_requires_slit_driver(self):
-        with pytest.raises(ValueError):
-            ChordalFlowSpec(0.0, 1.0, ((0.0, AtomicMeasure.dirac(0.0)),), backend=CLOSED_FORM)
+    def test_closed_form_rejects_multi_atom_measure(self):
+        nu = AtomicMeasure(((0.0, 0.6), (1.0, 0.4)))
+        for driver in (((0.0, nu),), ((0.0, AtomicMeasure.dirac(0.7)), (0.5, nu))):
+            with pytest.raises(ValueError, match="single-atom"):
+                ChordalFlowSpec(0.0, 1.0, driver, backend=CLOSED_FORM)
 
 
 @pytest.mark.parametrize("backend", [CLOSED_FORM, RUNGE_KUTTA])
@@ -218,11 +222,11 @@ def _restart_reference(spec, t, z):
     the segments up to t.  The one-sweep integrator reproduces it bit for
     bit at the interval end and at driver breakpoints."""
     if isinstance(spec, RadialFlowSpec):
-        start, driver, field_of = spec.a, spec.driver, flows._herglotz_field
+        start, field_of = spec.a, flows._herglotz_field
     else:
-        start, driver, field_of = spec.r, spec.driver or ((spec.r, AtomicMeasure.dirac(0.0)),), flows._chordal_field
+        start, field_of = spec.r, flows._chordal_field
     y = complex(z)
-    for lo, hi, mu in flows._segments(driver, start, t):
+    for lo, hi, mu in flows._segments(spec.driver, start, t):
         f = field_of(mu)
         n = max(1, math.ceil((hi - lo) / spec.ode.step - 1e-12))
         for _ in range(n):
@@ -301,6 +305,97 @@ class TestSweep:
         times = np.append(np.linspace(0.0, 1.0, 64, endpoint=False) + 1e-3 / 3, 1.0)
         radial_transition(spec, times[:, None], np.array([0.3 - 0.2j, -0.5j])[None, :])
         assert len(steps) <= 2 * (1000 + 65)
+
+
+@pytest.mark.parametrize("backend", [CLOSED_FORM, RUNGE_KUTTA])
+@pytest.mark.parametrize("family, location", [(RadialFlowSpec, -1.0), (ChordalFlowSpec, 0.0)], ids=["radial", "chordal"])
+@pytest.mark.parametrize("breakpoints", [(math.nan,), (0.0, math.nan), (0.0, math.inf), (-math.inf,)], ids=["nan", "nan-later", "inf-later", "minus-inf"])
+def test_non_finite_breakpoints_rejected(family, location, backend, breakpoints):
+    # A nan breakpoint passes every ordering comparison, so only an explicit
+    # finiteness check rejects it.
+    driver = tuple((bp, AtomicMeasure.dirac(location)) for bp in breakpoints)
+    with pytest.raises(ValueError, match="must be finite"):
+        family(0.0, 1.0, driver, backend=backend)
+
+
+# Single-atom drivers with three segments each: the closed form composes one
+# exact map per segment, so it is the oracle for RK4 on such drivers.
+_THREE_SEGMENTS = {
+    "radial": (
+        RadialFlowSpec,
+        radial_transition,
+        ((0.0, AtomicMeasure.dirac(-1.0)), (0.3, AtomicMeasure.dirac(complex(math.cos(2.1), math.sin(2.1)))), (0.7, AtomicMeasure.dirac(1j))),
+        [0.3 + 0.4j, -0.6 + 0.1j, 0.05j, 0.55 - 0.45j],
+    ),
+    "chordal": (
+        ChordalFlowSpec,
+        chordal_transition,
+        ((0.0, AtomicMeasure.dirac(0.0)), (0.4, AtomicMeasure.dirac(0.7, 0.5)), (0.8, AtomicMeasure.dirac(-1.2, 2.0))),
+        [1j, -1.5 + 0.7j, 0.4 + 2j, 0.9 + 0.3j],
+    ),
+}
+
+
+def _single_atom_field(family, mu, mp):
+    ((x, m),) = mu.atoms
+    if family is RadialFlowSpec:
+        xi = mp.mpc(x)
+        return lambda _t, w: -m * w * (1 + xi * w) / (1 - xi * w)
+    x = mp.mpf(x.real)
+    return lambda _t, w: m / (x - w)
+
+
+class TestSegmentedClosedForm:
+    @pytest.mark.parametrize("name", sorted(_THREE_SEGMENTS))
+    def test_matches_rk4(self, name):
+        family, transition, driver, points = _THREE_SEGMENTS[name]
+        times, points = np.array([0.0, 0.2, 0.3, 0.4, 0.55, 0.7, 0.8, 0.93, 1.0])[:, None], np.array(points)[None, :]
+        exact = transition(family(0.0, 1.0, driver), times, points)
+        rk4 = transition(family(0.0, 1.0, driver, backend=RUNGE_KUTTA, ode=OdeConfig(1e-4)), times, points)
+        assert np.max(np.abs(exact - rk4)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(_THREE_SEGMENTS))
+    def test_matches_mpmath(self, name):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        family, transition, driver, points = _THREE_SEGMENTS[name]
+        spec, z = family(0.0, 1.0, driver), points[1]
+        with mp.workdps(20):
+            w = mp.mpc(z)
+            for (lo, mu), (hi, _) in zip(driver, driver[1:] + ((1.0, None),)):
+                w = mp.odefun(_single_atom_field(family, mu, mp), lo, w)(hi)
+        assert abs(transition(spec, 1.0, z) - complex(w)) <= 1e-12
+
+    def test_times_long_before_a_later_segment(self):
+        # exp(lo - t) overflows once t is some 709 before a segment starts,
+        # so the segment map must never see t < lo.
+        driver = ((0.0, AtomicMeasure.dirac(-1.0)), (800.0, AtomicMeasure.dirac(1j)))
+        times = np.array([0.5, 50.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = radial_transition(RadialFlowSpec(0.0, 1000.0, driver), times, 0.3 + 0.2j)
+        assert np.array_equal(table, radial_transition(RadialFlowSpec.koebe(0.0, 800.0), times, 0.3 + 0.2j))
+
+    @pytest.mark.parametrize("family", [RadialFlowSpec, ChordalFlowSpec], ids=["radial", "chordal"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_semigroup_across_breakpoints(self, family, data):
+        n = data.draw(st.integers(2, 4))
+        breakpoints = list(np.cumsum([0.0] + data.draw(st.lists(st.floats(0.05, 0.6), min_size=n - 1, max_size=n - 1))))
+        if family is RadialFlowSpec:
+            angles = data.draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=n, max_size=n))
+            measures = [AtomicMeasure.dirac(complex(math.cos(a), math.sin(a))) for a in angles]
+            transition, points = radial_transition, np.array([0.3 + 0.4j, -0.6 + 0.1j, 0.7j])
+        else:
+            atoms = data.draw(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 2.0)), min_size=n, max_size=n))
+            measures = [AtomicMeasure.dirac(x, c) for x, c in atoms]
+            transition, points = chordal_transition, np.array([1j, -1.5 + 0.7j, 0.4 + 2j])
+        driver = tuple(zip(breakpoints, measures))
+        end = breakpoints[-1] + data.draw(st.floats(0.0, 0.6))
+        mid = data.draw(st.one_of(st.sampled_from(breakpoints), st.floats(0.0, end)))
+        direct = transition(family(0.0, end, driver), end, points)
+        composed = transition(family(mid, end, driver), end, transition(family(0.0, mid, driver), mid, points))
+        assert np.max(np.abs(direct - composed)) <= 1e-12
 
 
 def test_out_of_domain_point_in_array_raises():
