@@ -283,7 +283,7 @@ def kernel_catalog(a: float, b: float):
     flow = RadialFlowSpec.koebe(a, b)
     disk = functools.partial(disk_points, 8)
     return (
-        ("dbr-koebe", DbrDiskKernel(functools.partial(radial_transition, flow, flow.b)), disk),
+        ("dbr-koebe", DbrDiskKernel(functools.partial(radial_transition, flow, flow.end)), disk),
         ("herglotz-phi-minus-one", HerglotzSpaceKernel(lambda z: (1.0 - z) / (1.0 + z)), disk),
         ("pick-cayley-image", PickSpaceKernel(pick_phi), functools.partial(halfplane_points, 8)),
         ("paley-wiener", PaleyWienerKernel(1.0), lambda seed: rect_points(8, seed, (-1.0, 1.0, -0.35, 0.35))),
@@ -362,7 +362,7 @@ def _suite_chordal_exp_kernel(cfg: SuiteConfig, tol: float):
 def _suite_chordal_exp_element(cfg: SuiteConfig, tol: float):
     flow = _slit(cfg)
     pts = halfplane_points(20, cfg.seed, rect=HALFPLANE_RECT_SAFE)
-    kernel = PickSpaceKernel(functools.partial(chordal_transition, flow, flow.s))
+    kernel = PickSpaceKernel(functools.partial(chordal_transition, flow, flow.end))
     sets = membership_halfplane_sets(MEMBERSHIP_SIZES, cfg.seed)
     return [
         chordal_exp_element_check(flow, _rule(cfg), pts, tol),
@@ -373,7 +373,7 @@ def _suite_chordal_exp_element(cfg: SuiteConfig, tol: float):
 def _suite_membership(cfg: SuiteConfig, tol: None):
     flow = _koebe(cfg)
     sets = membership_disk_sets(MEMBERSHIP_SIZES, cfg.seed)
-    dbr = DbrDiskKernel(functools.partial(radial_transition, flow, flow.b))
+    dbr = DbrDiskKernel(functools.partial(radial_transition, flow, flow.end))
     entries = [
         _probe("koebe-log-element", dbr, koebe_log_element(flow), sets, BOUNDED),
         _probe("reciprocal-pole", dbr, lambda z: 1.0 / (1.0 - z), sets, UNBOUNDED),
@@ -505,10 +505,8 @@ def _run_trace(args) -> int:
         if args.step is not None and args.backend != RUNGE_KUTTA:
             raise ConfigError("--step applies to --backend rk4 only")
         ode = OdeConfig(args.step) if args.step is not None else OdeConfig()
-        if args.flow == "koebe":
-            flow = RadialFlowSpec.koebe(args.a, args.b, backend=args.backend, ode=ode)
-        else:
-            flow = ChordalFlowSpec.basic_slit(args.a, args.b, backend=args.backend, ode=ode)
+        build = {"koebe": RadialFlowSpec.koebe, "slit": ChordalFlowSpec.basic_slit}[args.flow]
+        flow = build(args.a, args.b, backend=args.backend, ode=ode)
         if not 2 <= args.n <= MAX_TRACE_SAMPLES:
             raise ConfigError(f"n must be in [2, {MAX_TRACE_SAMPLES}], got {args.n}")
         samples = iter_flow_trace(flow, z, args.n)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchCutError
-from .flows import ChordalFlowSpec, RadialFlowSpec, _family, _segments, chordal_transition, driver_herglotz, radial_transition
+from .flows import ChordalFlowSpec, RadialFlowSpec, _flow_times, _interval, _segments, chordal_transition, driver_herglotz, radial_transition
 from .kernels import DbrDiskKernel, HerglotzSpaceKernel, PaleyWienerKernel, PickSpaceKernel, gram
 from .moebius import cayley_to_disk, cayley_to_halfplane, require_disk, require_halfplane
 from .representations import AtomicMeasure, PickRepresentation, herglotz_eval, pick_eval
@@ -59,7 +59,7 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
 def flow_rule(flow, nodes_per_segment: int = 64) -> QuadratureRule:
     """Gauss-Legendre rule over the flow interval, one sub-rule per driver
     segment, so piecewise-constant drivers stay analytic on each sub-rule."""
-    lo, hi, *_ = _family(flow)
+    lo, hi = _interval(flow)
     edges = [(s0, s1) for s0, s1, _ in _segments(flow.driver, lo, hi)] or [(lo, hi)]
     pieces = [gauss_legendre(nodes_per_segment, s0, s1) for s0, s1 in edges]
     nodes = np.concatenate([p.nodes for p in pieces])
@@ -94,11 +94,11 @@ def _integral(rule: QuadratureRule, table):
     return np.sum(rule.weights[:, None] * table, axis=0)
 
 
-def _node_and_end_table(transition, flow, end: float, rule: QuadratureRule, first, second):
+def _node_and_end_table(transition, flow, rule: QuadratureRule, first, second):
     """B_t at the rule's nodes and at the end time, for both point columns,
     from one (nodes + 1) x 2p transition table: returns the two (node,
     point) tables and the two end rows."""
-    times = np.append(rule.nodes, end)[:, None]
+    times = np.append(rule.nodes, flow.end)[:, None]
     table = transition(flow, times, np.concatenate([first, second])[None, :])
     p = len(first)
     return (table[:-1, :p], table[:-1, p:]), (table[-1, :p], table[-1, p:])
@@ -106,7 +106,9 @@ def _node_and_end_table(transition, flow, end: float, rule: QuadratureRule, firs
 
 def loewner_time_kernel(flow: RadialFlowSpec, t: float) -> HerglotzSpaceKernel:
     """Time-t kernel of a radial flow with Herglotz driver phi: the
-    Herglotz-space kernel of z -> phi(t, B_t(z))."""
+    Herglotz-space kernel of z -> phi(t, B_t(z)).  The spec and t are checked
+    when the kernel is built, not at its first call."""
+    _flow_times(RadialFlowSpec, flow, t)
     return HerglotzSpaceKernel(lambda z: driver_herglotz(flow, t, radial_transition(flow, t, z)))
 
 
@@ -116,7 +118,7 @@ def resolution_check(flow: RadialFlowSpec, rule: QuadratureRule, point_pairs, to
     (1 - conj(B_b(lam)) B_b(mu)) / (1 - conj(lam) mu), where k(t, ., .) is
     the time-t kernel of ``loewner_time_kernel``."""
     lam, mu = (require_disk(c) for c in _columns(point_pairs))
-    (b_lam, b_mu), (end_lam, end_mu) = _node_and_end_table(radial_transition, flow, flow.b, rule, lam, mu)
+    (b_lam, b_mu), (end_lam, end_mu) = _node_and_end_table(radial_transition, flow, rule, lam, mu)
     nodes = rule.nodes[:, None]
     phi_lam, phi_mu = (driver_herglotz(flow, nodes, b) for b in (b_lam, b_mu))
     denom = 1.0 - lam.conjugate() * mu
@@ -125,17 +127,17 @@ def resolution_check(flow: RadialFlowSpec, rule: QuadratureRule, point_pairs, to
     return _report("resolution", len(point_pairs), np.abs(lhs - rhs), tol)
 
 
-def _fd_tables(transition, flow, lo: float, hi: float, t, first, second, h: float):
+def _fd_tables(transition, flow, t, first, second, h: float):
     """Flat t, first and second, broadcast together, and the two (3, p)
     tables of B at t - h, t and t + h for the two point columns, from one
     (3, 2p) transition table.  ValueError when a [t - h, t + h] leaves
-    [lo, hi], or when t - h and t + h, as floats, are not 2h apart to 1e-6
+    the flow, or when t - h and t + h, as floats, are not 2h apart to 1e-6
     relative: then the difference quotient would not divide by its spacing."""
     if not (h > 0.0):
         raise ValueError("h must be positive")
     t, first, second = (np.reshape(v, -1) for v in np.broadcast_arrays(np.asarray(t, dtype=float), first, second))
-    if np.any(t - h < lo) or np.any(t + h > hi):
-        raise ValueError(f"step h = {h} too large: [t-h, t+h] must stay in [{lo}, {hi}]")
+    if np.any(t - h < flow.start) or np.any(t + h > flow.end):
+        raise ValueError(f"step h = {h} too large: [t-h, t+h] must stay in [{flow.start}, {flow.end}]")
     times = t + np.array([-h, 0.0, h])[:, None]
     spacing = times[2] - times[0]
     coarse = np.abs(spacing - 2.0 * h) > 1e-6 * 2.0 * h
@@ -153,7 +155,7 @@ def radial_derivative_identity_check(flow: RadialFlowSpec, t, lam, z, h: float =
 
     ``t``, ``lam`` and ``z`` are scalars or arrays that broadcast together;
     each of their p broadcast triples is one sample pair."""
-    t, lam, z, b_lam, b_z = _fd_tables(radial_transition, flow, flow.a, flow.b, t, require_disk(lam), require_disk(z), h)
+    t, lam, z, b_lam, b_z = _fd_tables(radial_transition, flow, t, require_disk(lam), require_disk(z), h)
     denom = 1.0 - lam.conjugate() * z
     quotient = (1.0 - b_lam.conjugate() * b_z) / denom
     fd = (quotient[2] - quotient[0]) / (2.0 * h)
@@ -172,7 +174,7 @@ def chordal_derivative_identity_check(flow: ChordalFlowSpec, t, alpha, z, h: flo
     Neither denominator can vanish for alpha, z in H: Im(z - conj(alpha)) > 0,
     and B_t maps into H.
     """
-    t, alpha, z, b_alpha, b_z = _fd_tables(chordal_transition, flow, flow.r, flow.s, t, require_halfplane(alpha), require_halfplane(z), h)
+    t, alpha, z, b_alpha, b_z = _fd_tables(chordal_transition, flow, t, require_halfplane(alpha), require_halfplane(z), h)
     quotient = (b_z - b_alpha.conjugate()) / (z - alpha.conjugate())
     fd = (quotient[2] - quotient[0]) / (2.0 * h)
     rhs = quotient[1] / (b_alpha[1].conjugate() * b_z[1])
@@ -208,7 +210,7 @@ def koebe_log_element(flow: RadialFlowSpec):
 
     def element(z):
         z = require_disk(z)
-        num, den = 1.0 - radial_transition(flow, flow.b, z), 1.0 - z
+        num, den = 1.0 - radial_transition(flow, flow.end, z), 1.0 - z
         off_branch = (np.real(num) <= 0.0) | (np.real(den) <= 0.0)
         if np.any(off_branch):
             z_i, num_i, den_i = (complex(np.asarray(v)[off_branch].flat[0]) for v in (z, num, den))
@@ -302,7 +304,7 @@ def chordal_exp_kernel_check(flow: ChordalFlowSpec, rule: QuadratureRule, point_
     exp(integral of dt / (conj(B_t(alpha)) B_t(z))) equals
     (B_b(z) - conj(B_b(alpha))) / (z - conj(alpha))."""
     alpha, z = (require_halfplane(c) for c in _columns(point_pairs))
-    (b_alpha, b_z), (end_alpha, end_z) = _node_and_end_table(chordal_transition, flow, flow.s, rule, alpha, z)
+    (b_alpha, b_z), (end_alpha, end_z) = _node_and_end_table(chordal_transition, flow, rule, alpha, z)
     lhs = np.exp(_integral(rule, 1.0 / (b_alpha.conjugate() * b_z)))
     rhs = (end_z - end_alpha.conjugate()) / (z - alpha.conjugate())
     return _report("chordal-exp-kernel", len(point_pairs), np.abs(lhs - rhs), tol)
@@ -313,7 +315,7 @@ def chordal_exp_element(flow: ChordalFlowSpec):
     end map B_b of a chordal flow; it takes z as a scalar or a numpy array."""
 
     def element(z):
-        return np.exp(z - chordal_transition(flow, flow.s, z))
+        return np.exp(z - chordal_transition(flow, flow.end, z))
 
     return element
 

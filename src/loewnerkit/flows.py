@@ -18,6 +18,7 @@ numpy arrays that broadcast together; a scalar is the 0-d case.
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,7 @@ RUNGE_KUTTA = "rk4"
 
 # Abort (never clamp) when a trajectory gets this close to the boundary:
 # silent clamping would corrupt every downstream kernel check.
-RADIAL_ESCAPE_MARGIN = 1e-9
-CHORDAL_ESCAPE_MARGIN = 1e-9
+ESCAPE_MARGIN = 1e-9
 
 _TIME_SLACK = 1e-12
 # Cap on (end - start) / step of an RK4 spec, so no grid runs for hours.
@@ -75,74 +75,6 @@ def _validate_driver(driver, start: float, on_circle: bool):
     return driver
 
 
-def _check_backend(spec, start: float, end: float, driver):
-    if spec.backend == CLOSED_FORM:
-        if any(len(mu.atoms) != 1 for _, mu in driver):
-            raise ValueError("closed-form backend requires a single-atom measure on every driver segment; use backend='rk4'")
-    elif spec.backend == RUNGE_KUTTA:
-        if end > start and spec.ode.step > (end - start) + _TIME_SLACK:
-            raise ValueError("ODE step exceeds the flow interval")
-        steps = (end - start) / spec.ode.step
-        if steps > MAX_RK4_STEPS:
-            raise ValueError(f"RK4 grid of {steps:.3g} steps exceeds MAX_RK4_STEPS = {MAX_RK4_STEPS}")
-    else:
-        raise ValueError(f"unknown backend {spec.backend!r}")
-
-
-@dataclass(frozen=True)
-class RadialFlowSpec:
-    """Radial Loewner transition family B_{a t} on the unit disk.
-
-    ``driver`` is a sorted tuple of (breakpoint, probability measure on the
-    circle); the measure at the k-th breakpoint applies until the next one.
-    """
-
-    a: float
-    b: float
-    driver: tuple
-    backend: str = CLOSED_FORM
-    ode: OdeConfig = field(default_factory=OdeConfig)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not (0.0 <= self.a <= self.b) or not math.isfinite(self.b):
-            raise ValueError(f"interval [{self.a}, {self.b}] must satisfy 0 <= a <= b < inf")
-        object.__setattr__(self, "driver", _validate_driver(self.driver, self.a, on_circle=True))
-        _check_backend(self, self.a, self.b, self.driver)
-
-    @classmethod
-    def koebe(cls, a: float, b: float, backend: str = CLOSED_FORM, ode: OdeConfig = None) -> "RadialFlowSpec":
-        return cls(a, b, ((float(a), DIRAC_MINUS_ONE),), backend, ode or OdeConfig())
-
-
-@dataclass(frozen=True)
-class ChordalFlowSpec:
-    """Chordal Loewner transition family B_{r s} on the upper half-plane.
-
-    ``driver`` is a sorted tuple of (breakpoint, measure on the real line);
-    the measure at the k-th breakpoint applies until the next one.
-    """
-
-    r: float
-    s: float
-    driver: tuple
-    backend: str = CLOSED_FORM
-    ode: OdeConfig = field(default_factory=OdeConfig)
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "s", float(self.s))
-        if not (0.0 <= self.r <= self.s) or not math.isfinite(self.s):
-            raise ValueError(f"interval [{self.r}, {self.s}] must satisfy 0 <= r <= s < inf")
-        object.__setattr__(self, "driver", _validate_driver(self.driver, self.r, on_circle=False))
-        _check_backend(self, self.r, self.s, self.driver)
-
-    @classmethod
-    def basic_slit(cls, r: float, s: float, backend: str = CLOSED_FORM, ode: OdeConfig = None) -> "ChordalFlowSpec":
-        return cls(r, s, ((float(r), AtomicMeasure.dirac(0.0)),), backend, ode or OdeConfig())
-
-
 def koebe_eval(t, z):
     """Koebe function e^t z / (1 - z)^2 at z in D."""
     z = require_disk(z)
@@ -178,10 +110,11 @@ def _chordal_segment(mu: AtomicMeasure, dt, w):
     return x.real + sqrt_halfplane(d * d - 2.0 * c * dt)
 
 
-def _closed_form(segment_map, driver, start: float, end: float, t, z):
+def _closed_form(spec, t, z):
     """B_t(z), the exact maps of the driver segments of [start, t] composed; t lies in [start, end]."""
+    start, end, segment_map = spec.start, spec.end, spec.family.segment
     w = z if start < end else np.broadcast_to(z, np.broadcast(t, z).shape).copy()
-    for lo, hi, mu in _segments(driver, start, end):
+    for lo, hi, mu in _segments(spec.driver, start, end):
         # On a scalar, np.where and clamping t to [lo, hi] cost more than the
         # segment map; the clamp is a no-op at the interval's own ends.
         dt = (t if hi == end else np.minimum(t, hi)) - lo
@@ -230,32 +163,108 @@ def _chordal_field(mu: AtomicMeasure):
     return f
 
 
-def _left_disk(y: complex) -> bool:
-    return abs(y) >= 1.0 - RADIAL_ESCAPE_MARGIN
+class _Family(NamedTuple):
+    """What tells one flow family from the other, in one record."""
+
+    label: str  # "radial" or "chordal", in messages
+    time: str  # the name of the time variable, in messages
+    require: Callable  # domain guard of the starting points
+    segment: Callable  # closed-form map of one single-atom driver segment
+    rk4_field: Callable  # RK4 vector field of one driver measure
+    escaped: Callable  # escape test of an RK4 state
+    on_circle: bool  # driver measures live on the unit circle, else on the real line
 
 
-def _left_halfplane(y: complex) -> bool:
-    return y.imag <= CHORDAL_ESCAPE_MARGIN
+@dataclass(frozen=True)
+class _FlowSpec:
+    """Loewner transition family on [start, end]; a subclass names its
+    ``family``.  ``driver`` is a sorted tuple of (breakpoint, measure); the
+    measure at the k-th breakpoint applies until the next one."""
+
+    start: float
+    end: float
+    driver: tuple
+    backend: str = CLOSED_FORM
+    ode: OdeConfig = field(default_factory=OdeConfig)
+
+    def __post_init__(self):
+        start, end = float(self.start), float(self.end)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        if not (0.0 <= start <= end) or not math.isfinite(end):
+            raise ValueError(f"interval [{start}, {end}] must satisfy 0 <= start <= end < inf")
+        driver = _validate_driver(self.driver, start, self.family.on_circle)
+        object.__setattr__(self, "driver", driver)
+        if self.backend == CLOSED_FORM:
+            if any(len(mu.atoms) != 1 for _, mu in driver):
+                raise ValueError("closed-form backend requires a single-atom measure on every driver segment; use backend='rk4'")
+        elif self.backend == RUNGE_KUTTA:
+            if end > start and self.ode.step > (end - start) + _TIME_SLACK:
+                raise ValueError("ODE step exceeds the flow interval")
+            steps = (end - start) / self.ode.step
+            if steps > MAX_RK4_STEPS:
+                raise ValueError(f"RK4 grid of {steps:.3g} steps exceeds MAX_RK4_STEPS = {MAX_RK4_STEPS}")
+        else:
+            raise ValueError(f"unknown backend {self.backend!r}")
 
 
-def _family(spec):
-    """Start, end, RK4 field, escape test, label, transition map and domain
-    guard of a flow spec; TypeError for an object that is not one."""
-    if isinstance(spec, RadialFlowSpec):
-        return spec.a, spec.b, _herglotz_field, _left_disk, "radial", radial_transition, require_disk
-    if isinstance(spec, ChordalFlowSpec):
-        return spec.r, spec.s, _chordal_field, _left_halfplane, "chordal", chordal_transition, require_halfplane
-    raise TypeError(f"unsupported flow spec {type(spec).__name__}")
+# A domain guard is looked up at each call, so perfbench's tracer sees every check.
+@dataclass(frozen=True)
+class RadialFlowSpec(_FlowSpec):
+    """Radial Loewner transition family B_{a t} on the unit disk, driven by
+    probability measures on the circle; ``a`` and ``b`` name the interval."""
+
+    family = _Family("radial", "t", lambda z: require_disk(z), _radial_segment, _herglotz_field, lambda y: abs(y) >= 1.0 - ESCAPE_MARGIN, True)
+    a = property(lambda self: self.start)
+    b = property(lambda self: self.end)
+
+    @classmethod
+    def koebe(cls, a: float, b: float, backend: str = CLOSED_FORM, ode: OdeConfig = None) -> "RadialFlowSpec":
+        return cls(a, b, ((float(a), DIRAC_MINUS_ONE),), backend, ode or OdeConfig())
+
+
+@dataclass(frozen=True)
+class ChordalFlowSpec(_FlowSpec):
+    """Chordal Loewner transition family B_{r s} on the upper half-plane,
+    driven by measures on the real line; ``r`` and ``s`` name the interval."""
+
+    family = _Family("chordal", "s", lambda z: require_halfplane(z), _chordal_segment, _chordal_field, lambda y: y.imag <= ESCAPE_MARGIN, False)
+    r = property(lambda self: self.start)
+    s = property(lambda self: self.end)
+
+    @classmethod
+    def basic_slit(cls, r: float, s: float, backend: str = CLOSED_FORM, ode: OdeConfig = None) -> "ChordalFlowSpec":
+        return cls(r, s, ((float(r), AtomicMeasure.dirac(0.0)),), backend, ode or OdeConfig())
+
+
+def _interval(spec):
+    """Start and end of a flow spec; TypeError for an object that is not one."""
+    if not isinstance(spec, _FlowSpec):
+        raise TypeError(f"unsupported flow spec {type(spec).__name__}")
+    return spec.start, spec.end
+
+
+def _flow_times(cls, spec, t):
+    """Times of a ``cls`` spec as a float array clamped to its interval;
+    TypeError for another spec, DomainError for the first time outside it."""
+    if not isinstance(spec, cls):
+        raise TypeError(f"expected a {cls.family.label} flow spec, got {type(spec).__name__}")
+    t = np.asarray(t, dtype=float)
+    lo, hi = spec.start, spec.end
+    inside = (lo - _TIME_SLACK <= t) & (t <= hi + _TIME_SLACK)
+    if not inside.all():
+        raise DomainError(f"{cls.family.time} = {float(t[~inside].flat[0])} outside flow interval [{lo}, {hi}]")
+    return np.clip(t, lo, hi)
 
 
 def driver_herglotz(spec: RadialFlowSpec, t, w):
     """phi(t, w): the Herglotz function of the radial flow's driver measure
-    at time t, evaluated at w; t and w broadcast together.  The measure at
-    t is that of the last breakpoint at or before t + _TIME_SLACK, or the
-    first one's before it; one ``herglotz_eval`` call per segment."""
-    t, w = np.broadcast_arrays(np.asarray(t, dtype=float), w)
+    at time t, evaluated at w; t and w broadcast together, and t is checked
+    like a transition's.  The measure at t is that of the last breakpoint at
+    or before t + _TIME_SLACK; one ``herglotz_eval`` call per segment."""
+    t, w = np.broadcast_arrays(_flow_times(RadialFlowSpec, spec, t), w)
     breakpoints = np.array([bp for bp, _ in spec.driver])
-    segment = np.maximum(np.searchsorted(breakpoints, t + _TIME_SLACK, side="right") - 1, 0)
+    segment = np.searchsorted(breakpoints, t + _TIME_SLACK, side="right") - 1
     # A 0-d w stays a numpy scalar, whose arithmetic can differ in the last
     # bit from numpy's array loops: the scalar case matches herglotz_eval.
     if w.ndim == 0:
@@ -276,7 +285,7 @@ def _sweep(spec, z: complex, times):
     alone.  The state is a Python complex: it is faster per step than a
     numpy scalar, and a driver pole raises ZeroDivisionError instead of
     yielding inf or nan."""
-    start, end, field_of, escaped, what, *_ = _family(spec)
+    field_of, escaped, what = spec.family.rk4_field, spec.family.escaped, spec.family.label
 
     def advance(y, h, f):
         try:
@@ -290,7 +299,7 @@ def _sweep(spec, z: complex, times):
     times = iter(times)
     t = next(times, None)
     y = z
-    for lo, hi, mu in _segments(spec.driver, start, end):
+    for lo, hi, mu in _segments(spec.driver, spec.start, spec.end):
         f = field_of(mu)
         n = max(1, math.ceil((hi - lo) / spec.ode.step - _TIME_SLACK))
         h = (hi - lo) / n
@@ -324,36 +333,25 @@ def _integrate(spec, times, points):
     return out.reshape(points.shape)[()]
 
 
-def _flow_times(t, lo: float, hi: float, name: str):
-    """Times as a float array clamped to [lo, hi]; DomainError names the
-    first time outside the flow interval."""
-    t = np.asarray(t, dtype=float)
-    inside = (lo - _TIME_SLACK <= t) & (t <= hi + _TIME_SLACK)
-    if not inside.all():
-        raise DomainError(f"{name} = {float(t[~inside].flat[0])} outside flow interval [{lo}, {hi}]")
-    return np.clip(t, lo, hi)
+def _transition(cls, spec, t, z):
+    """B_t(z) of a ``cls`` spec: the body of both transition maps."""
+    t = _flow_times(cls, spec, t)
+    z = cls.family.require(z)
+    return (_closed_form if spec.backend == CLOSED_FORM else _integrate)(spec, t, z)
 
 
 def radial_transition(spec: RadialFlowSpec, t, z):
     """Transition map B_{a t}(z) of a radial flow, for t in [a, b] and z in D.
 
     ``t`` and ``z`` are scalars or numpy arrays that broadcast together."""
-    t = _flow_times(t, spec.a, spec.b, "t")
-    z = require_disk(z)
-    if spec.backend == CLOSED_FORM:
-        return _closed_form(_radial_segment, spec.driver, spec.a, spec.b, t, z)
-    return _integrate(spec, t, z)
+    return _transition(RadialFlowSpec, spec, t, z)
 
 
 def chordal_transition(spec: ChordalFlowSpec, s, z):
     """Transition map B_{r s}(z) of a chordal flow, for s in [r, s_max] and z in H.
 
     ``s`` and ``z`` are scalars or numpy arrays that broadcast together."""
-    s = _flow_times(s, spec.r, spec.s, "s")
-    z = require_halfplane(z)
-    if spec.backend == CLOSED_FORM:
-        return _closed_form(_chordal_segment, spec.driver, spec.r, spec.s, s, z)
-    return _integrate(spec, s, z)
+    return _transition(ChordalFlowSpec, spec, s, z)
 
 
 def iter_flow_trace(spec, z: complex, n_samples: int):
@@ -364,10 +362,10 @@ def iter_flow_trace(spec, z: complex, n_samples: int):
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    lo, hi, *_, transition, require = _family(spec)
+    lo, hi = _interval(spec)
     if not math.isfinite((hi - lo) * (n_samples - 1)):
         raise ValueError(f"sample times of [{lo}, {hi}] at {n_samples} samples overflow a float")
-    z = require(z)
+    z = spec.family.require(z)
     times = [lo + (hi - lo) * i / (n_samples - 1) for i in range(n_samples)]
     # Rounding can carry the last times past hi by more than the absolute
     # slack of the transition maps once hi is large; evaluate those at hi.
@@ -375,7 +373,7 @@ def iter_flow_trace(spec, z: complex, n_samples: int):
     if spec.backend == RUNGE_KUTTA:
         values = map(np.complex128, _sweep(spec, complex(z), at))
     else:
-        values = (transition(spec, t, z) for t in at)
+        values = (_transition(type(spec), spec, t, z) for t in at)
 
     def samples():
         for t, value in zip(times, values):

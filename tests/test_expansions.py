@@ -21,12 +21,14 @@ from loewnerkit import (
     chordal_exp_kernel_check,
     chordal_transition,
     dbr_element,
+    driver_herglotz,
     flow_rule,
     flow_trace,
     gauss_legendre,
     herglotz_mixture_check,
     koebe_log_element,
     koebe_log_element_check,
+    loewner_time_kernel,
     membership_test,
     nevanlinna_split_check,
     paley_wiener_reconstruction_check,
@@ -92,7 +94,7 @@ class TestQuadrature:
         ids=["two-segments", "breakpoint-past-end", "breakpoint-at-end", "a-equals-b", "slit-basic", "slit-explicit"],
     )
     def test_flow_rule_splits_on_driver_breakpoints(self, spec, pieces):
-        lo, hi = (spec.a, spec.b) if isinstance(spec, RadialFlowSpec) else (spec.r, spec.s)
+        lo, hi = spec.start, spec.end
         # One sub-rule between consecutive points of {lo, hi} and the breakpoints inside (lo, hi).
         breaks = sorted({lo, hi} | {bp for bp, _ in spec.driver if lo < bp < hi})
         reference = [gauss_legendre(16, s0, s1) for s0, s1 in list(zip(breaks, breaks[1:])) or [(lo, hi)]]
@@ -108,6 +110,49 @@ class TestQuadrature:
         with pytest.raises(TypeError) as from_trace:
             flow_trace(object(), 0.1, 3)
         assert str(from_rule.value) == str(from_trace.value) == "unsupported flow spec object"
+
+
+# 0.3 + 0.4i lies in both the disk and the upper half-plane, so only the spec's
+# family can be wrong in these calls.
+_Z = 0.3 + 0.4j
+
+
+@pytest.mark.parametrize(
+    "family, spec, call",
+    [
+        ("radial", SLIT, lambda f: radial_transition(f, 0.5, _Z)),
+        ("radial", SLIT, lambda f: driver_herglotz(f, 0.5, _Z)),
+        ("radial", SLIT, lambda f: loewner_time_kernel(f, 0.5)),
+        ("radial", SLIT, lambda f: resolution_check(f, RULE, [(_Z, _Z)])),
+        ("radial", SLIT, lambda f: radial_derivative_identity_check(f, 0.5, _Z, _Z)),
+        ("radial", SLIT, lambda f: dbr_element(f, 1.0, 0.0, RULE)),
+        ("radial", SLIT, lambda f: koebe_log_element(f)(_Z)),
+        ("radial", SLIT, lambda f: koebe_log_element_check(f, RULE, [_Z])),
+        ("chordal", KOEBE, lambda f: chordal_transition(f, 0.5, _Z)),
+        ("chordal", KOEBE, lambda f: chordal_derivative_identity_check(f, 0.5, _Z, _Z)),
+        ("chordal", KOEBE, lambda f: chordal_exp_kernel_check(f, RULE, [(_Z, _Z)])),
+        ("chordal", KOEBE, lambda f: chordal_exp_element(f)(_Z)),
+        ("chordal", KOEBE, lambda f: chordal_exp_element_check(f, RULE, [_Z])),
+    ],
+    ids=[
+        "radial_transition",
+        "driver_herglotz",
+        "loewner_time_kernel",
+        "resolution_check",
+        "radial_derivative_identity_check",
+        "dbr_element",
+        "koebe_log_element",
+        "koebe_log_element_check",
+        "chordal_transition",
+        "chordal_derivative_identity_check",
+        "chordal_exp_kernel_check",
+        "chordal_exp_element",
+        "chordal_exp_element_check",
+    ],
+)
+def test_a_spec_of_the_other_family_raises_type_error(family, spec, call):
+    with pytest.raises(TypeError, match=f"^expected a {family} flow spec, got {type(spec).__name__}$"):
+        call(spec)
 
 
 class TestIntegratedKernel:

@@ -211,20 +211,29 @@ def test_broadcast_tables_match_scalar_calls(backend):
     ids=["radial", "chordal"],
 )
 def test_first_breakpoint_within_the_slack_snaps_to_the_start(spec, transition, z):
-    start, end = (spec.a, spec.b) if isinstance(spec, RadialFlowSpec) else (spec.r, spec.s)
+    start, end = spec.start, spec.end
     assert spec.driver[0][0] == start
     assert transition(spec, start, z) == z
     assert abs(flow_rule(spec, 16).weights.sum() - (end - start)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "spec, names",
+    [(RadialFlowSpec.koebe(0.25, 1.5), ("a", "b")), (ChordalFlowSpec.basic_slit(0.25, 1.5), ("r", "s"))],
+    ids=["radial", "chordal"],
+)
+def test_the_papers_interval_names_read_start_and_end(spec, names):
+    assert tuple(getattr(spec, name) for name in names) == (spec.start, spec.end) == (0.25, 1.5)
+    for name in names + ("start", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, 0.5)
 
 
 def _restart_reference(spec, t, z):
     """Restart RK4: integrate (t, z) from the interval start on the grid of
     the segments up to t.  The one-sweep integrator reproduces it bit for
     bit at the interval end and at driver breakpoints."""
-    if isinstance(spec, RadialFlowSpec):
-        start, field_of = spec.a, flows._herglotz_field
-    else:
-        start, field_of = spec.r, flows._chordal_field
+    start, field_of = spec.start, spec.family.rk4_field
     y = complex(z)
     for lo, hi, mu in flows._segments(spec.driver, start, t):
         f = field_of(mu)
@@ -255,10 +264,10 @@ class TestSweep:
         ],
     )
     def test_matches_restart_reference(self, spec, points, breaks):
-        lo, hi = (spec.a, spec.b) if isinstance(spec, RadialFlowSpec) else (spec.r, spec.s)
+        lo, hi = spec.start, spec.end
         exact = [hi] + breaks
         interior = list(np.random.RandomState(2).uniform(lo, hi, size=6))
-        transition = radial_transition if isinstance(spec, RadialFlowSpec) else chordal_transition
+        transition = getattr(flows, f"{spec.family.label}_transition")
         halved = dataclasses.replace(spec, ode=OdeConfig(spec.ode.step / 2))
         table = transition(spec, np.array(exact + interior)[:, None], np.array(points)[None, :])
         for i, t in enumerate(exact + interior):
@@ -490,10 +499,23 @@ class TestDriverHerglotz:
         driver = tuple(zip(breakpoints, measures))
         spec = RadialFlowSpec(start, breakpoints[-1] + 1.0, driver, backend=RUNGE_KUTTA)
         offsets = [0.0, -1e-13, 1e-13, -1e-11, 1e-11]
-        times = [bp + d for bp in breakpoints for d in offsets] + [start - 1e-11, start - 0.5]
+        # A time before the interval start by more than the slack lies outside the flow.
+        times = [bp + d for bp in breakpoints for d in offsets if bp + d >= start - 1e-12]
         points = np.array([0.0, 0.3 + 0.4j, -0.7j, 0.9])
+        for t in (start - 1e-11, start - 0.5):
+            with pytest.raises(DomainError, match="outside flow interval"):
+                driver_herglotz(spec, t, points)
         table = driver_herglotz(spec, np.array(times)[:, None], points[None, :])
         assert table.shape == (len(times), len(points))
         for row, t in zip(table, times):
             assert np.array_equal(row, _driver_reference(spec, t, points))
         assert driver_herglotz(spec, times[0], points[1]) == _driver_reference(spec, times[0], points[1])
+
+    def test_time_outside_interval_rejected(self):
+        spec = RadialFlowSpec.koebe(0.0, 1.0)
+        with pytest.raises(DomainError, match=r"t = 5\.0 outside flow interval"):
+            driver_herglotz(spec, 5.0, 0.3)
+        with pytest.raises(DomainError, match=r"t = -0\.5 outside"):
+            driver_herglotz(spec, np.array([0.5, -0.5, 2.0]), 0.3)
+        # Within the slack a time is clamped to the interval, like a transition's.
+        assert driver_herglotz(spec, 1.0 + 1e-13, 0.3) == driver_herglotz(spec, 1.0, 0.3)

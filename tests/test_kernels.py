@@ -104,6 +104,11 @@ class TestKernelEval:
         expected = (herglotz_eval(mu, bw).conjugate() + herglotz_eval(mu, bz)) / (1.0 - w.conjugate() * z)
         assert np.array_equal(loewner_time_kernel(flow, t)(z, w), expected)
 
+    @pytest.mark.parametrize("t", [-1e-11, 1.0 + 1e-11, 7.0])
+    def test_loewner_time_kernel_rejects_a_time_outside_the_flow_when_built(self, t):
+        with pytest.raises(DomainError, match="outside flow interval"):
+            loewner_time_kernel(KOEBE, t)
+
     @pytest.mark.parametrize("spec,domain", _catalog())
     def test_hermitian_symmetry(self, spec, domain):
         rng = np.random.RandomState(13)
