@@ -1,18 +1,21 @@
 """Command-line suite runner, configuration loader, and report/trace emitter.
 
-Exit codes: 0 all checks passed, 2 configuration/schema error, 3 numerical
-failure (a failed check, flow escape, or solver breakdown; diagnostics are
-still written to the report).  Reports are JSON with every float serialized
+Exit codes: 0 all checks passed, 2 configuration/schema error or output
+that cannot be written, 3 numerical failure (a failed check, flow escape, or
+solver breakdown; diagnostics are still written to the report).  Reports are JSON with every float serialized
 at 17 significant digits; identical (config, seed) pairs produce identical
 reports apart from the wall-clock field.
 """
 
 import argparse
 import cmath
+import contextlib
 import dataclasses
 import functools
+import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -82,6 +85,8 @@ MEMBERSHIP_SIZES = (16, 32, 64, 128)
 MEMBERSHIP_EPS = 1e-8
 # Finite-difference step of the derivative suites.
 DERIVATIVE_STEP = 1e-4
+# The keys of a config file; the run flags of the same names override them.
+CONFIG_KEYS = frozenset({"schema", "suite", "seed", "a", "b", "nodes", "tol", "herglotz_atoms", "pick_rep", "corrupt_psd"})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,8 +144,7 @@ def validate_config(raw: dict) -> SuiteConfig:
     """Schema-check a raw config mapping and fill in defaults."""
     if not isinstance(raw, dict):
         _fail("config must be a JSON object")
-    known = {"schema", "suite", "seed", "a", "b", "nodes", "tol", "herglotz_atoms", "pick_rep", "corrupt_psd"}
-    unknown = set(raw) - known
+    unknown = set(raw) - CONFIG_KEYS
     if unknown:
         _fail(f"unknown config keys: {sorted(unknown)}")
     if "schema" in raw and raw["schema"] != SCHEMA_VERSION:
@@ -495,42 +499,56 @@ def _emit(obj, out):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-# --- trace -------------------------------------------------------------
+# --- commands and entry point ------------------------------------------
+# Each command checks its arguments and returns write(out), which writes the
+# report or trace and returns 0 or 3; main owns the output and exit code 2.
 
-# A non-finite sample becomes an error row, so numpy need not warn about it.
-@np.errstate(all="ignore")
-def _run_trace(args) -> int:
-    try:
-        z = complex(float(args.z_re), float(args.z_im))
-        if args.step is not None and args.backend != RUNGE_KUTTA:
-            raise ConfigError("--step applies to --backend rk4 only")
-        ode = OdeConfig(args.step) if args.step is not None else OdeConfig()
-        build = {"koebe": RadialFlowSpec.koebe, "slit": ChordalFlowSpec.basic_slit}[args.flow]
-        flow = build(args.a, args.b, backend=args.backend, ode=ode)
-        if not 2 <= args.n <= MAX_TRACE_SAMPLES:
-            raise ConfigError(f"n must be in [2, {MAX_TRACE_SAMPLES}], got {args.n}")
-        samples = iter_flow_trace(flow, z, args.n)
-        out = open(args.out, "w") if args.out else sys.stdout
-    except (OSError, ValueError, LoewnerkitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _run_command(args):
+    raw = {}
+    if args.config:
+        try:
+            with open(args.config) as handle:
+                raw = json.load(handle)
+        # ValueError also covers undecodable bytes and integers with more
+        # digits than int() converts, which are not JSONDecodeError;
+        # RecursionError covers nesting deeper than the parser follows.
+        except (OSError, ValueError, RecursionError) as exc:
+            _fail(f"cannot read config: {exc}")
+    if isinstance(raw, dict):  # validate_config rejects anything else
+        raw.update((key, value) for key, value in vars(args).items() if key in CONFIG_KEYS and value is not None)
+    config = validate_config(raw)
 
-    code = 0
-    try:
+    def write(out) -> int:
+        report = run(config)
+        print(dumps_report(report), file=out)
+        return 0 if report["overall_pass"] else 3
+
+    return write
+
+
+def _trace_command(args):
+    z = complex(args.z_re, args.z_im)
+    if args.step is not None and args.backend != RUNGE_KUTTA:
+        raise ConfigError("--step applies to --backend rk4 only")
+    ode = OdeConfig(args.step) if args.step is not None else OdeConfig()
+    build = {"koebe": RadialFlowSpec.koebe, "slit": ChordalFlowSpec.basic_slit}[args.flow]
+    flow = build(args.a, args.b, backend=args.backend, ode=ode)
+    if not 2 <= args.n <= MAX_TRACE_SAMPLES:
+        raise ConfigError(f"n must be in [2, {MAX_TRACE_SAMPLES}], got {args.n}")
+    samples = iter_flow_trace(flow, z, args.n)
+
+    def write(out) -> int:
         print("t,re,im", file=out)
         try:
             for t, value in samples:
                 print(f"{format(t, '.17g')},{format(value.real, '.17g')},{format(value.imag, '.17g')}", file=out)
         except FlowEscapeError as exc:
             print(f"error,{str(exc).replace(',', ';')}", file=out)
-            code = 3
-    finally:
-        if args.out:
-            out.close()
-    return code
+            return 3
+        return 0
 
+    return write
 
-# --- entry point -------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="loewnerkit", description=__doc__)
@@ -560,45 +578,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_suites(args) -> int:
-    raw = {}
-    if args.config:
-        try:
-            with open(args.config) as handle:
-                raw = json.load(handle)
-        # ValueError also covers undecodable bytes and integers with more
-        # digits than int() converts, which are not JSONDecodeError.
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(raw, dict):
-            print("error: config must be a JSON object", file=sys.stderr)
-            return 2
-    for key in ("suite", "seed", "a", "b", "nodes", "tol", "corrupt_psd"):
-        if getattr(args, key) is not None:
-            raw[key] = getattr(args, key)
-
-    try:
-        config = validate_config(raw)
-        out = open(args.out, "w") if args.out else sys.stdout
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        report = run(config)
-        print(dumps_report(report), file=out)
-    finally:
-        if args.out:
-            out.close()
-    return 0 if report["overall_pass"] else 3
-
-
+# A non-finite value becomes an error entry or row, so numpy need not warn about it.
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _run_suites(args)
-    return _run_trace(args)
+    out = None
+    try:
+        write = (_run_command if args.command == "run" else _trace_command)(args)
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            code = write(out)
+            out.flush()
+        return code
+    except (OSError, ValueError, LoewnerkitError) as exc:
+        if isinstance(exc, OSError) and out is sys.stdout:
+            # The flush at exit would fail again and print "Exception ignored": point
+            # stdout at the null device, if it has a descriptor (pytest's capture has none).
+            with contextlib.suppress(io.UnsupportedOperation), open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), out.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loewnerkit
-from loewnerkit import cli, expansions
+from loewnerkit import cli, expansions, kernels
 from loewnerkit.cli import SUITES, SuiteConfig, dumps_report, main, validate_config
 from loewnerkit.errors import ConfigError
 
@@ -32,14 +33,38 @@ def _strip_wall_clock(text: str) -> str:
     return re.sub(r',"wall_clock_ms":\d+', "", text)
 
 
+def _process_kwargs():
+    """A fresh interpreter's environment, with stdout block-buffered as it is
+    by default, so that a failed write can leave bytes in the buffer."""
+    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {"env": dict(env, PYTHONPATH=path), "text": True}
+
+
 def _run_process(args):
     """Run the CLI in a fresh interpreter, where an uncaught exception shows
     as a traceback on stderr and exit code 1."""
-    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-m", "loewnerkit.cli", *args], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-m", "loewnerkit.cli", *args], capture_output=True, timeout=300, **_process_kwargs()
     )
+
+
+def _run_in_process(args, capsys):
+    """Run ``main`` in this process and return what ``_run_process`` returns.
+    An exception that escapes ``main`` fails the test, and a warning raises,
+    so no traceback or warning can hide from the stderr assertions."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(args)
+    captured = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, captured.out, captured.err)
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+def _one_error_line(stderr):
+    return stderr.startswith("error: ") and stderr.count("\n") == 1 and stderr.endswith("\n")
 
 
 class TestValidateConfig:
@@ -177,16 +202,20 @@ TRACE_NON_FINITE = ["trace", "--flow", "slit", "--z-re", "0", "--z-im", "1e200",
 TRACE_LAST_TIME_PAST_END = ["trace", "--flow", "koebe", "--a", "9.83187717309674", "--b", "647165.9971964757", "--z-re", "0.3", "--n", "14"]
 
 
+# The unopenable --out cases run in a fresh process, the rest in this one.
+# /dev/full takes the open and fails the write.
 @pytest.mark.parametrize(
-    "args",
+    "args, in_process",
     [
-        ["run", "--suite", "nevanlinna-split", "--out", "{missing}/report.json"],
-        ["trace", "--flow", "koebe", "--z-re", "0.3", "--out", "{missing}/trace.csv"],
-        ["trace", "--flow", "koebe", "--backend", "rk4", "--step", "0", "--z-re", "0.3"],
-        ["trace", "--flow", "koebe", "--backend", "rk4", "--b", "1e308", "--z-re", "0.3", "--n", "2"],
-        ["trace", "--flow", "slit", "--z-re", "0.3", "--z-im", "1", "--n", "1000001"],
-        TRACE_KOEBE_TIMES_OVERFLOW,
-        TRACE_SLIT_TIMES_OVERFLOW,
+        (["run", "--suite", "nevanlinna-split", "--out", "{missing}/report.json"], False),
+        (["trace", "--flow", "koebe", "--z-re", "0.3", "--out", "{missing}/trace.csv"], False),
+        (["trace", "--flow", "koebe", "--backend", "rk4", "--step", "0", "--z-re", "0.3"], True),
+        (["trace", "--flow", "koebe", "--backend", "rk4", "--b", "1e308", "--z-re", "0.3", "--n", "2"], True),
+        (["trace", "--flow", "slit", "--z-re", "0.3", "--z-im", "1", "--n", "1000001"], True),
+        (TRACE_KOEBE_TIMES_OVERFLOW, True),
+        (TRACE_SLIT_TIMES_OVERFLOW, True),
+        pytest.param(["run", "--suite", "nevanlinna-split", "--out", "/dev/full"], True, marks=needs_dev_full),
+        pytest.param(["trace", "--flow", "koebe", "--z-re", "0.3", "--n", "5", "--out", "/dev/full"], True, marks=needs_dev_full),
     ],
     ids=[
         "run-out-unopenable",
@@ -196,12 +225,64 @@ TRACE_LAST_TIME_PAST_END = ["trace", "--flow", "koebe", "--a", "9.83187717309674
         "trace-n-over-cap",
         "trace-koebe-times-overflow",
         "trace-slit-times-overflow",
+        "run-out-unwritable",
+        "trace-out-unwritable",
     ],
 )
-def test_bad_arguments_exit_2_without_traceback(tmp_path, args):
-    proc = _run_process([arg.format(missing=tmp_path / "missing") for arg in args])
+def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, args, in_process):
+    args = [arg.format(missing=tmp_path / "missing") for arg in args]
+    proc = _run_in_process(args, capsys) if in_process else _run_process(args)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert _one_error_line(proc.stderr) and "Traceback" not in proc.stderr
+
+
+@needs_dev_full
+def test_stdout_that_cannot_be_written_exits_2(monkeypatch, capsys):
+    # Closing the stream must not fail either: main sends what it still
+    # buffers to the null device, or the flush at exit would fail again.
+    with open("/dev/full", "w") as full, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", full)
+        proc = _run_in_process(["run", "--suite", "nevanlinna-split"], capsys)
+    assert proc.returncode == 2 and proc.stdout == "" and _one_error_line(proc.stderr)
+
+
+def test_closed_pipe_exits_2_without_traceback():
+    # The reader takes the header and closes the pipe, so a later write of
+    # the trace fails with a broken pipe.
+    args = [sys.executable, "-m", "loewnerkit.cli", "trace", "--flow", "koebe", "--z-re", "0.3", "--n", "200000"]
+    with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **_process_kwargs()) as proc:
+        assert proc.stdout.readline() == "t,re,im\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    assert code == 2 and _one_error_line(stderr)
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+def test_suite_defaults_match_the_library_defaults():
+    # Reports check at SUITE_TABLE's tolerances and DERIVATIVE_STEP, callers
+    # of the library (perfbench's rk4-flow workload) at the checks' defaults.
+    checks = {
+        "cayley-isometry": expansions.cayley_isometry_check,
+        "chordal-derivative": expansions.chordal_derivative_identity_check,
+        "chordal-exp-element": expansions.chordal_exp_element_check,
+        "chordal-exp-kernel": expansions.chordal_exp_kernel_check,
+        "herglotz-mixture": expansions.herglotz_mixture_check,
+        "kernel-psd": kernels.psd_check,
+        "koebe-log": expansions.koebe_log_element_check,
+        "nevanlinna-split": expansions.nevanlinna_split_check,
+        "pw-reconstruction": expansions.paley_wiener_reconstruction_check,
+        "radial-derivative": expansions.radial_derivative_identity_check,
+        "resolution": expansions.resolution_check,
+    }
+
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    table = {suite: tol for suite, (_, tol) in cli.SUITE_TABLE.items() if tol is not None}
+    assert table == {suite: default(check, "tol") for suite, check in checks.items()}
+    derivative_checks = (checks["radial-derivative"], checks["chordal-derivative"])
+    assert [default(check, "h") for check in derivative_checks] == [cli.DERIVATIVE_STEP] * 2
 
 
 # Coordinates in [-0.7, 0.7] give a point of both domains when Im > 0.
@@ -417,20 +498,22 @@ class TestRun:
             "a-equals-b",
         ],
     )
-    def test_bad_config_exits_cleanly(self, tmp_path, config, code):
+    def test_bad_config_exits_cleanly(self, tmp_path, capsys, config, code):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        proc = _run_process(["run", "--config", str(cfg)])
+        # Exit 3 runs in a fresh process, exit 2 in this one.
+        args = ["run", "--config", str(cfg)]
+        proc = _run_process(args) if code == 3 else _run_in_process(args, capsys)
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
         if code == 3:
             errors = {e["suite"] for e in json.loads(proc.stdout)["entries"] if e["kind"] == "error"}
             assert errors == {"chordal-derivative", "radial-derivative"}
 
-    def test_non_finite_value_becomes_error_entry(self, tmp_path):
+    def test_non_finite_value_becomes_error_entry(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(NON_FINITE_CONFIG))
-        proc = _run_process(["run", "--config", str(cfg)])
+        proc = _run_in_process(["run", "--config", str(cfg)], capsys)
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         (entry,) = json.loads(proc.stdout)["entries"]
@@ -438,14 +521,20 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "text",
-        [b'{"suite": "resolution", "a": ' + b"1" * 5000 + b"}", b'{"suite": "resolution", "a": \xff}'],
-        ids=["digits-over-int-limit", "invalid-utf8"],
+        [
+            b'{"suite": "resolution", "a": ' + b"1" * 5000 + b"}",
+            b'{"suite": "resolution", "a": \xff}',
+            # json.load raises RecursionError, which is not a ValueError.
+            b'{"suite": ' + b"[" * 990 + b"]" * 990 + b"}",
+        ],
+        ids=["digits-over-int-limit", "invalid-utf8", "nested-too-deep"],
     )
     def test_unreadable_config_exits_2(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(text)
         assert main(["run", "--config", str(cfg)]) == 2
-        capsys.readouterr()
+        out, err = capsys.readouterr()
+        assert out == "" and _one_error_line(err) and err.startswith("error: cannot read config: ")
 
 
 class TestDerivativeSuites:
@@ -563,7 +652,7 @@ class TestTrace:
         assert code == 2
 
     @pytest.mark.parametrize("flow", ["koebe", "slit"])
-    def test_step_on_closed_form_backend_exits_2(self, flow):
-        proc = _run_process(["trace", "--flow", flow, "--z-re", "0.3", "--z-im", "0.5", "--step", "5"])
+    def test_step_on_closed_form_backend_exits_2(self, capsys, flow):
+        proc = _run_in_process(["trace", "--flow", flow, "--z-re", "0.3", "--z-im", "0.5", "--step", "5"], capsys)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: --step applies to --backend rk4 only\n"
