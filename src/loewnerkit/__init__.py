@@ -38,6 +38,7 @@ from .flows import (
     RadialFlowSpec,
     chordal_transition,
     driver_herglotz,
+    driver_pick,
     flow_trace,
     iter_flow_trace,
     koebe_eval,

@@ -107,13 +107,7 @@ class SuiteConfig:
         return SUITE_TABLE[suite][1]
 
     def echo(self) -> dict:
-        out = {
-            "suite": self.suite,
-            "seed": self.seed,
-            "a": self.a,
-            "b": self.b,
-            "nodes": self.nodes,
-        }
+        out = {key: getattr(self, key) for key in ("suite", "seed", "a", "b", "nodes")}
         if self.tols:
             out["tol"] = {k: self.tols[k] for k in sorted(self.tols)}
         if self.herglotz_atoms is not None:
@@ -590,11 +584,13 @@ def main(argv=None) -> int:
             out.flush()
         return code
     except (OSError, ValueError, LoewnerkitError) as exc:
-        if isinstance(exc, OSError) and out is sys.stdout:
-            # The flush at exit would fail again and print "Exception ignored": point
-            # stdout at the null device, if it has a descriptor (pytest's capture has none).
-            with contextlib.suppress(io.UnsupportedOperation), open(os.devnull, "w") as null:
-                os.dup2(null.fileno(), out.fileno())
+        if isinstance(exc, OSError) and out is not None:  # opened, then writing failed
+            if out is sys.stdout:
+                # The flush at exit would fail again and print "Exception ignored": point
+                # stdout at the null device, if it has a descriptor (pytest's capture has none).
+                with contextlib.suppress(io.UnsupportedOperation), open(os.devnull, "w") as null:
+                    os.dup2(null.fileno(), out.fileno())
+            exc = f"cannot write {args.out or 'stdout'}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

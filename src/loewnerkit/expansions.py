@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchCutError
-from .flows import ChordalFlowSpec, RadialFlowSpec, _flow_times, _interval, _segments, chordal_transition, driver_herglotz, radial_transition
+from .flows import ChordalFlowSpec, RadialFlowSpec, _flow_times, _interval, _segments, chordal_transition, driver_herglotz, driver_pick, radial_transition
 from .kernels import DbrDiskKernel, HerglotzSpaceKernel, PaleyWienerKernel, PickSpaceKernel, gram
 from .moebius import cayley_to_disk, cayley_to_halfplane, require_disk, require_halfplane
 from .representations import AtomicMeasure, PickRepresentation, herglotz_eval, pick_eval
@@ -166,10 +166,10 @@ def radial_derivative_identity_check(flow: RadialFlowSpec, t, lam, z, h: float =
 
 def chordal_derivative_identity_check(flow: ChordalFlowSpec, t, alpha, z, h: float = 1e-4, tol: float = 1e-5) -> IdentityReport:
     """d/dt of the Pick kernel quotient (B_t(z) - conj(B_t(alpha))) /
-    (z - conj(alpha)) against the same quotient divided by
-    conj(B_t(alpha)) B_t(z), by central finite difference (relative error).
-    ``t``, ``alpha`` and ``z`` broadcast together as in
-    ``radial_derivative_identity_check``.
+    (z - conj(alpha)) against the same quotient times the Pick-space kernel
+    of the driver's P_t at (B_t(z), B_t(alpha)), by central finite
+    difference (relative error).  ``t``, ``alpha`` and ``z`` broadcast
+    together as in ``radial_derivative_identity_check``.
 
     Neither denominator can vanish for alpha, z in H: Im(z - conj(alpha)) > 0,
     and B_t maps into H.
@@ -177,7 +177,7 @@ def chordal_derivative_identity_check(flow: ChordalFlowSpec, t, alpha, z, h: flo
     t, alpha, z, b_alpha, b_z = _fd_tables(chordal_transition, flow, t, require_halfplane(alpha), require_halfplane(z), h)
     quotient = (b_z - b_alpha.conjugate()) / (z - alpha.conjugate())
     fd = (quotient[2] - quotient[0]) / (2.0 * h)
-    rhs = quotient[1] / (b_alpha[1].conjugate() * b_z[1])
+    rhs = quotient[1] * PickSpaceKernel(lambda w: driver_pick(flow, t, w))(b_z[1], b_alpha[1])
     return _report("chordal-derivative", len(t), np.abs(fd - rhs) / np.maximum(1.0, np.abs(rhs)), tol)
 
 
@@ -300,12 +300,12 @@ def nevanlinna_split_check(rep: PickRepresentation, point_pairs, tol: float = 1e
 
 
 def chordal_exp_kernel_check(flow: ChordalFlowSpec, rule: QuadratureRule, point_pairs, tol: float = 1e-8) -> IdentityReport:
-    """Exponential kernel of the basic slit flow:
-    exp(integral of dt / (conj(B_t(alpha)) B_t(z))) equals
-    (B_b(z) - conj(B_b(alpha))) / (z - conj(alpha))."""
+    """Exponential kernel: exp(integral of k_t(B_t(z), B_t(alpha)) dt), with
+    k_t the Pick-space kernel of the driver's P_t (1 / (conj(B_t(alpha)) B_t(z))
+    for the basic slit), equals (B_b(z) - conj(B_b(alpha))) / (z - conj(alpha))."""
     alpha, z = (require_halfplane(c) for c in _columns(point_pairs))
     (b_alpha, b_z), (end_alpha, end_z) = _node_and_end_table(chordal_transition, flow, rule, alpha, z)
-    lhs = np.exp(_integral(rule, 1.0 / (b_alpha.conjugate() * b_z)))
+    lhs = np.exp(_integral(rule, PickSpaceKernel(lambda w: driver_pick(flow, rule.nodes[:, None], w))(b_z, b_alpha)))
     rhs = (end_z - end_alpha.conjugate()) / (z - alpha.conjugate())
     return _report("chordal-exp-kernel", len(point_pairs), np.abs(lhs - rhs), tol)
 
@@ -321,10 +321,11 @@ def chordal_exp_element(flow: ChordalFlowSpec):
 
 
 def chordal_exp_element_check(flow: ChordalFlowSpec, rule: QuadratureRule, points, tol: float = 1e-8) -> IdentityReport:
-    """Pointwise identity exp(integral of dt / B_t(z)) = exp(z - B_b(z)),
-    with the right side from ``chordal_exp_element``."""
+    """Pointwise identity exp(-integral of P_t(B_t(z)) dt) = exp(z - B_b(z)), with
+    P_t the driver's Pick function and the right side from ``chordal_exp_element``."""
     pts = require_halfplane(np.reshape(points, -1))
-    lhs = np.exp(_integral(rule, 1.0 / chordal_transition(flow, rule.nodes[:, None], pts)))
+    nodes = rule.nodes[:, None]
+    lhs = np.exp(-_integral(rule, driver_pick(flow, nodes, chordal_transition(flow, nodes, pts))))
     return _report("chordal-exp-element", len(points), np.abs(lhs - chordal_exp_element(flow)(pts)), tol)
 
 

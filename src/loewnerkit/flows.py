@@ -11,9 +11,9 @@ requested for it is read off that sweep; a time between grid nodes gets
 one partial step from the last node.  A FlowEscapeError names the first
 point, in flat order of first appearance, whose sweep escapes.
 
-Transition maps, and ``driver_herglotz`` (the Herglotz function of a
-radial driver's measure at each time), take times and points as scalars or
-numpy arrays that broadcast together; a scalar is the 0-d case.
+Transition maps, ``driver_herglotz`` and ``driver_pick`` (the Herglotz or
+Pick function of the driver's measure at each time) take times and points
+as scalars or numpy arrays that broadcast together; a scalar is the 0-d case.
 """
 
 import math
@@ -154,6 +154,11 @@ def _herglotz_field(mu: AtomicMeasure):
     return f
 
 
+def _pick_driver(mu: AtomicMeasure, w):
+    # Starts from a zero of w's shape: an atomless measure gives 0 and still checks w.
+    return sum((c / (x.real - w) for x, c in mu.atoms), 0.0 * require_halfplane(w))
+
+
 def _chordal_field(mu: AtomicMeasure):
     atoms = mu.atoms
 
@@ -171,6 +176,7 @@ class _Family(NamedTuple):
     require: Callable  # domain guard of the starting points
     segment: Callable  # closed-form map of one single-atom driver segment
     rk4_field: Callable  # RK4 vector field of one driver measure
+    driver: Callable  # evaluation of one driver measure on an array of points
     escaped: Callable  # escape test of an RK4 state
     on_circle: bool  # driver measures live on the unit circle, else on the real line
 
@@ -208,13 +214,13 @@ class _FlowSpec:
             raise ValueError(f"unknown backend {self.backend!r}")
 
 
-# A domain guard is looked up at each call, so perfbench's tracer sees every check.
+# Domain guards and herglotz_eval are looked up at each call, so perfbench's tracer sees every call.
 @dataclass(frozen=True)
 class RadialFlowSpec(_FlowSpec):
     """Radial Loewner transition family B_{a t} on the unit disk, driven by
     probability measures on the circle; ``a`` and ``b`` name the interval."""
 
-    family = _Family("radial", "t", lambda z: require_disk(z), _radial_segment, _herglotz_field, lambda y: abs(y) >= 1.0 - ESCAPE_MARGIN, True)
+    family = _Family("radial", "t", lambda z: require_disk(z), _radial_segment, _herglotz_field, lambda mu, w: herglotz_eval(mu, w), lambda y: abs(y) >= 1.0 - ESCAPE_MARGIN, True)
     a = property(lambda self: self.start)
     b = property(lambda self: self.end)
 
@@ -228,7 +234,7 @@ class ChordalFlowSpec(_FlowSpec):
     """Chordal Loewner transition family B_{r s} on the upper half-plane,
     driven by measures on the real line; ``r`` and ``s`` name the interval."""
 
-    family = _Family("chordal", "s", lambda z: require_halfplane(z), _chordal_segment, _chordal_field, lambda y: y.imag <= ESCAPE_MARGIN, False)
+    family = _Family("chordal", "s", lambda z: require_halfplane(z), _chordal_segment, _chordal_field, _pick_driver, lambda y: y.imag <= ESCAPE_MARGIN, False)
     r = property(lambda self: self.start)
     s = property(lambda self: self.end)
 
@@ -257,23 +263,34 @@ def _flow_times(cls, spec, t):
     return np.clip(t, lo, hi)
 
 
-def driver_herglotz(spec: RadialFlowSpec, t, w):
-    """phi(t, w): the Herglotz function of the radial flow's driver measure
-    at time t, evaluated at w; t and w broadcast together, and t is checked
-    like a transition's.  The measure at t is that of the last breakpoint at
-    or before t + _TIME_SLACK; one ``herglotz_eval`` call per segment."""
-    t, w = np.broadcast_arrays(_flow_times(RadialFlowSpec, spec, t), w)
+def _driver_at(cls, spec, t, w):
+    """The driver measure of a ``cls`` spec at time t, that of the last breakpoint at or
+    before t + _TIME_SLACK, evaluated at w by its family's ``driver`` once per segment;
+    t and w broadcast together, and t is checked like a transition's."""
+    t, w = np.broadcast_arrays(_flow_times(cls, spec, t), w)
     breakpoints = np.array([bp for bp, _ in spec.driver])
     segment = np.searchsorted(breakpoints, t + _TIME_SLACK, side="right") - 1
     # A 0-d w stays a numpy scalar, whose arithmetic can differ in the last
-    # bit from numpy's array loops: the scalar case matches herglotz_eval.
+    # bit from numpy's array loops: the scalar case matches the evaluation.
     if w.ndim == 0:
-        return herglotz_eval(spec.driver[segment][1], w[()])
+        return cls.family.driver(spec.driver[segment][1], w[()])
     out = np.empty(w.shape, dtype=complex)
     for k in np.unique(segment):
         at = segment == k
-        out[at] = herglotz_eval(spec.driver[k][1], w[at])
+        out[at] = cls.family.driver(spec.driver[k][1], w[at])
     return out
+
+
+def driver_herglotz(spec: RadialFlowSpec, t, w):
+    """phi(t, w): the Herglotz function of the radial flow's driver measure
+    at time t, evaluated at w in D, so dB_t/dt = -B_t phi(t, B_t)."""
+    return _driver_at(RadialFlowSpec, spec, t, w)
+
+
+def driver_pick(spec: ChordalFlowSpec, s, w):
+    """P(s, w) = sum of c / (x - w) over the atoms (x, c) of the chordal flow's
+    driver measure at time s, evaluated at w in H, so dB_s/ds = P(s, B_s)."""
+    return _driver_at(ChordalFlowSpec, spec, s, w)
 
 
 def _sweep(spec, z: complex, times):

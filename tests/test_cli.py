@@ -203,19 +203,21 @@ TRACE_LAST_TIME_PAST_END = ["trace", "--flow", "koebe", "--a", "9.83187717309674
 
 
 # The unopenable --out cases run in a fresh process, the rest in this one.
-# /dev/full takes the open and fails the write.
+# /dev/full takes the open and fails the write.  An --out case's error line
+# names the file: the open error names it, and a failed write says
+# "cannot write" and the file.
 @pytest.mark.parametrize(
-    "args, in_process",
+    "args, in_process, error",
     [
-        (["run", "--suite", "nevanlinna-split", "--out", "{missing}/report.json"], False),
-        (["trace", "--flow", "koebe", "--z-re", "0.3", "--out", "{missing}/trace.csv"], False),
-        (["trace", "--flow", "koebe", "--backend", "rk4", "--step", "0", "--z-re", "0.3"], True),
-        (["trace", "--flow", "koebe", "--backend", "rk4", "--b", "1e308", "--z-re", "0.3", "--n", "2"], True),
-        (["trace", "--flow", "slit", "--z-re", "0.3", "--z-im", "1", "--n", "1000001"], True),
-        (TRACE_KOEBE_TIMES_OVERFLOW, True),
-        (TRACE_SLIT_TIMES_OVERFLOW, True),
-        pytest.param(["run", "--suite", "nevanlinna-split", "--out", "/dev/full"], True, marks=needs_dev_full),
-        pytest.param(["trace", "--flow", "koebe", "--z-re", "0.3", "--n", "5", "--out", "/dev/full"], True, marks=needs_dev_full),
+        (["run", "--suite", "nevanlinna-split", "--out", "{missing}/report.json"], False, "error: [Errno 2] No such file or directory: '{missing}/report.json'\n"),
+        (["trace", "--flow", "koebe", "--z-re", "0.3", "--out", "{missing}/trace.csv"], False, "error: [Errno 2] No such file or directory: '{missing}/trace.csv'\n"),
+        (["trace", "--flow", "koebe", "--backend", "rk4", "--step", "0", "--z-re", "0.3"], True, "error: "),
+        (["trace", "--flow", "koebe", "--backend", "rk4", "--b", "1e308", "--z-re", "0.3", "--n", "2"], True, "error: "),
+        (["trace", "--flow", "slit", "--z-re", "0.3", "--z-im", "1", "--n", "1000001"], True, "error: "),
+        (TRACE_KOEBE_TIMES_OVERFLOW, True, "error: "),
+        (TRACE_SLIT_TIMES_OVERFLOW, True, "error: "),
+        pytest.param(["run", "--suite", "nevanlinna-split", "--out", "/dev/full"], True, "error: cannot write /dev/full: [Errno 28] ", marks=needs_dev_full),
+        pytest.param(["trace", "--flow", "koebe", "--z-re", "0.3", "--n", "5", "--out", "/dev/full"], True, "error: cannot write /dev/full: [Errno 28] ", marks=needs_dev_full),
     ],
     ids=[
         "run-out-unopenable",
@@ -229,11 +231,12 @@ TRACE_LAST_TIME_PAST_END = ["trace", "--flow", "koebe", "--a", "9.83187717309674
         "trace-out-unwritable",
     ],
 )
-def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, args, in_process):
+def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, args, in_process, error):
     args = [arg.format(missing=tmp_path / "missing") for arg in args]
     proc = _run_in_process(args, capsys) if in_process else _run_process(args)
     assert proc.returncode == 2 and proc.stdout == ""
     assert _one_error_line(proc.stderr) and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(error.format(missing=tmp_path / "missing"))
 
 
 @needs_dev_full
@@ -244,6 +247,7 @@ def test_stdout_that_cannot_be_written_exits_2(monkeypatch, capsys):
         patch.setattr(sys, "stdout", full)
         proc = _run_in_process(["run", "--suite", "nevanlinna-split"], capsys)
     assert proc.returncode == 2 and proc.stdout == "" and _one_error_line(proc.stderr)
+    assert proc.stderr.startswith("error: cannot write stdout: [Errno 28] ")
 
 
 def test_closed_pipe_exits_2_without_traceback():
@@ -255,7 +259,7 @@ def test_closed_pipe_exits_2_without_traceback():
         proc.stdout.close()
         stderr = proc.stderr.read()
         code = proc.wait(timeout=300)
-    assert code == 2 and _one_error_line(stderr)
+    assert code == 2 and _one_error_line(stderr) and stderr.startswith("error: cannot write stdout: ")
     assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 

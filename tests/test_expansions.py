@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from loewnerkit import (
     BOUNDED,
     AtomicMeasure,
+    RUNGE_KUTTA,
     ChordalFlowSpec,
+    OdeConfig,
     PickRepresentation,
     PickSpaceKernel,
     QuadratureRule,
@@ -22,6 +24,7 @@ from loewnerkit import (
     chordal_transition,
     dbr_element,
     driver_herglotz,
+    driver_pick,
     flow_rule,
     flow_trace,
     gauss_legendre,
@@ -129,6 +132,7 @@ _Z = 0.3 + 0.4j
         ("radial", SLIT, lambda f: koebe_log_element(f)(_Z)),
         ("radial", SLIT, lambda f: koebe_log_element_check(f, RULE, [_Z])),
         ("chordal", KOEBE, lambda f: chordal_transition(f, 0.5, _Z)),
+        ("chordal", KOEBE, lambda f: driver_pick(f, 0.5, _Z)),
         ("chordal", KOEBE, lambda f: chordal_derivative_identity_check(f, 0.5, _Z, _Z)),
         ("chordal", KOEBE, lambda f: chordal_exp_kernel_check(f, RULE, [(_Z, _Z)])),
         ("chordal", KOEBE, lambda f: chordal_exp_element(f)(_Z)),
@@ -144,6 +148,7 @@ _Z = 0.3 + 0.4j
         "koebe_log_element",
         "koebe_log_element_check",
         "chordal_transition",
+        "driver_pick",
         "chordal_derivative_identity_check",
         "chordal_exp_kernel_check",
         "chordal_exp_element",
@@ -461,6 +466,50 @@ class TestChordalExpElement:
         sets = membership_halfplane_sets((16, 32, 64, 128), seed)
         membership = membership_test(kernel, chordal_exp_element(SLIT), sets, eps=1e-8)
         assert membership.verdict == BOUNDED
+
+
+# Chordal flows other than the basic slit: two segments of two-atom measures,
+# which only RK4 evaluates, and the three-segment single-atom driver of
+# test_flows.TestSegmentedClosedForm, which the closed form evaluates.
+GENERAL_CHORDAL = {
+    "two-atom-rk4": ChordalFlowSpec(
+        0.0,
+        1.0,
+        ((0.0, AtomicMeasure(((0.0, 0.6), (1.3, 0.4)))), (0.5, AtomicMeasure(((-0.8, 0.5), (0.4, 1.0))))),
+        backend=RUNGE_KUTTA,
+        ode=OdeConfig(1e-3),
+    ),
+    "three-segment-closed-form": ChordalFlowSpec(
+        0.0, 1.0, ((0.0, AtomicMeasure.dirac(0.0)), (0.4, AtomicMeasure.dirac(0.7, 0.5)), (0.8, AtomicMeasure.dirac(-1.2, 2.0)))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_CHORDAL))
+class TestGeneralChordalDrivers:
+    """The chordal identities hold for any driver, read through driver_pick;
+    each check runs at its default tolerance."""
+
+    def test_exp_kernel(self, name):
+        flow = GENERAL_CHORDAL[name]
+        report = chordal_exp_kernel_check(flow, flow_rule(flow, 32), halfplane_pairs(10, 1, rect=HALFPLANE_RECT_SAFE))
+        assert report.passed and report.sample_pairs == 10
+
+    def test_exp_element(self, name):
+        flow = GENERAL_CHORDAL[name]
+        report = chordal_exp_element_check(flow, flow_rule(flow, 32), halfplane_points(20, 1, rect=HALFPLANE_RECT_SAFE))
+        assert report.passed and report.sample_pairs == 20
+
+    def test_derivative(self, name):
+        flow, h = GENERAL_CHORDAL[name], 1e-4
+        times = 0.05 + 0.1 * np.arange(10)
+        # Every window [t - h, t + h] stays at least h from a breakpoint, where
+        # the driver jumps and the central difference would not converge.
+        breakpoints = np.array([bp for bp, _ in flow.driver])
+        assert np.min(np.abs(times[:, None] - breakpoints[None, :])) >= 2.0 * h
+        alpha, z = np.transpose(halfplane_pairs(10, 1, rect=HALFPLANE_RECT_SAFE))
+        report = chordal_derivative_identity_check(flow, times, alpha, z, h)
+        assert report.passed and report.sample_pairs == 10
 
 
 class TestHerglotzMixture:

@@ -16,6 +16,7 @@ from loewnerkit import (
     RadialFlowSpec,
     chordal_transition,
     driver_herglotz,
+    driver_pick,
     flow_rule,
     flow_trace,
     herglotz_eval,
@@ -519,3 +520,49 @@ class TestDriverHerglotz:
             driver_herglotz(spec, np.array([0.5, -0.5, 2.0]), 0.3)
         # Within the slack a time is clamped to the interval, like a transition's.
         assert driver_herglotz(spec, 1.0 + 1e-13, 0.3) == driver_herglotz(spec, 1.0, 0.3)
+
+
+class TestDriverPick:
+    def test_is_the_field_of_the_flow(self):
+        # dB_s/ds = P(s, B_s), by central difference away from the breakpoints.
+        _, transition, driver, points = _THREE_SEGMENTS["chordal"]
+        spec, h = ChordalFlowSpec(0.0, 1.0, driver), 1e-5
+        times, points = np.array([0.1, 0.3, 0.45, 0.7, 0.9])[:, None], np.array(points)[None, :]
+        fd = (transition(spec, times + h, points) - transition(spec, times - h, points)) / (2.0 * h)
+        field = driver_pick(spec, times, transition(spec, times, points))
+        assert np.max(np.abs(fd - field) / np.maximum(1.0, np.abs(field))) <= 1e-8
+
+    def test_array_call_matches_scalar_calls(self):
+        # Two-atom measures; times on both sides of each breakpoint, within and beyond the slack.
+        driver = ((0.0, AtomicMeasure(((0.0, 0.6), (1.3, 0.4)))), (0.5, AtomicMeasure(((-0.8, 0.5), (0.4, 1.0)))))
+        spec = ChordalFlowSpec(0.0, 1.0, driver, backend=RUNGE_KUTTA)
+        times = np.array([0.0, 0.25, 0.5 - 1e-11, 0.5 - 1e-13, 0.5, 0.75, 1.0])
+        points = np.array([1j, -1.5 + 0.7j, 0.4 + 2j])
+        table = driver_pick(spec, times[:, None], points[None, :])
+        assert table.shape == (len(times), len(points))
+        for row, t in zip(table, times):
+            mu = driver[1][1] if t >= 0.5 - 1e-12 else driver[0][1]
+            expected = [sum(c / (x.real - w) for x, c in mu.atoms) for w in points]
+            assert np.array_equal(row, expected)
+            assert np.array_equal(row, [driver_pick(spec, t, w) for w in points])
+
+    def test_time_outside_interval_rejected(self):
+        spec = ChordalFlowSpec.basic_slit(0.0, 1.0)
+        with pytest.raises(DomainError, match=r"s = 5\.0 outside flow interval"):
+            driver_pick(spec, 5.0, 1j)
+        with pytest.raises(DomainError, match=r"s = -0\.5 outside"):
+            driver_pick(spec, np.array([0.5, -0.5, 2.0]), 1j)
+        # Within the slack a time is clamped to the interval, like a transition's.
+        assert driver_pick(spec, 1.0 + 1e-13, 1j) == driver_pick(spec, 1.0, 1j)
+
+    @pytest.mark.parametrize("measure", [AtomicMeasure.dirac(0.0), AtomicMeasure(())], ids=["dirac", "atomless"])
+    def test_point_outside_halfplane_rejected(self, measure):
+        spec = ChordalFlowSpec(0.0, 1.0, ((0.0, measure),), backend=RUNGE_KUTTA)
+        for w in (-1j, 0.3, np.array([1j, 2.0 + 0.5j, 0.5 - 1e-3j])):
+            with pytest.raises(DomainError, match="not inside the open upper half-plane"):
+                driver_pick(spec, 0.5, w)
+
+    def test_atomless_measure_gives_zero(self):
+        spec = ChordalFlowSpec(0.0, 1.0, ((0.0, AtomicMeasure(())),), backend=RUNGE_KUTTA)
+        assert driver_pick(spec, 0.5, 1j) == 0.0
+        assert np.array_equal(driver_pick(spec, 0.5, np.array([1j, 2j])), np.zeros(2))
