@@ -1,6 +1,7 @@
 """Quadrature verification of the integral-resolution theorems and
 construction of explicit reproducing-kernel space elements."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,15 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_rule(n: int):
+    """The n-node Gauss-Legendre nodes and weights on [-1, 1], read-only:
+    a pure function of n, built once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Legendre rule with n interior nodes on [a, b].  ValueError when
     the float grid near [a, b] cannot place the nodes: when a node's offset
@@ -47,7 +57,7 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _reference_rule(n)
     # 0.5 * (a + b) would overflow for a and b near the largest float.
     mid, half = 0.5 * a + 0.5 * b, 0.5 * (b - a)
     nodes = mid + half * x
@@ -131,13 +141,18 @@ def _fd_tables(transition, flow, t, first, second, h: float):
     """Flat t, first and second, broadcast together, and the two (3, p)
     tables of B at t - h, t and t + h for the two point columns, from one
     (3, 2p) transition table.  ValueError when a [t - h, t + h] leaves
-    the flow, or when t - h and t + h, as floats, are not 2h apart to 1e-6
+    the flow or holds a driver breakpoint strictly inside, where B_t has a
+    kink, or when t - h and t + h, as floats, are not 2h apart to 1e-6
     relative: then the difference quotient would not divide by its spacing."""
     if not (h > 0.0):
         raise ValueError("h must be positive")
     t, first, second = (np.reshape(v, -1) for v in np.broadcast_arrays(np.asarray(t, dtype=float), first, second))
     if np.any(t - h < flow.start) or np.any(t + h > flow.end):
         raise ValueError(f"step h = {h} too large: [t-h, t+h] must stay in [{flow.start}, {flow.end}]")
+    for bp, _, _ in _segments(flow.driver, flow.start, flow.end)[1:]:
+        kinked = (t - h < bp) & (bp < t + h)
+        if kinked.any():
+            raise ValueError(f"step h = {h} too large: [t-h, t+h] at t = {t[kinked][0]} holds the driver breakpoint {bp}")
     times = t + np.array([-h, 0.0, h])[:, None]
     spacing = times[2] - times[0]
     coarse = np.abs(spacing - 2.0 * h) > 1e-6 * 2.0 * h

@@ -413,6 +413,36 @@ class TestRun:
         _, out2 = _run(["run", "--suite", "all", "--seed", "1"], capsys)
         assert _strip_wall_clock(out1) == _strip_wall_clock(out2)
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"suite": "all", "seed": 1}, {"suite": "all", "seed": 1, "nodes": 40, "a": 0.2, "b": 2.5}],
+        ids=["defaults", "nodes-40"],
+    )
+    def test_warm_rule_cache_changes_no_byte(self, config):
+        # One interpreter runs the config with a cold, then a warm
+        # Gauss-Legendre cache; a second is a fresh CLI process.  Both run at
+        # one BLAS thread, as README and CI pin: the membership estimates
+        # depend on the thread count.
+        script = (
+            "import json, sys\n"
+            "from loewnerkit import cli, expansions\n"
+            "config = cli.validate_config(json.loads(sys.argv[1]))\n"
+            "expansions._reference_rule.cache_clear()\n"
+            "cold = cli.dumps_report(cli.run(config))\n"
+            "built = expansions._reference_rule.cache_info().misses\n"
+            "warm = cli.dumps_report(cli.run(config))\n"
+            "print(json.dumps([cold, warm, built, expansions._reference_rule.cache_info().misses]))\n"
+        )
+        flags = [f"--{key}={value}" for key, value in config.items()]
+        kwargs = _process_kwargs()
+        kwargs["env"]["OPENBLAS_NUM_THREADS"] = "1"
+        one = subprocess.run([sys.executable, "-c", script, json.dumps(config)], capture_output=True, timeout=300, **kwargs)
+        fresh = subprocess.run([sys.executable, "-m", "loewnerkit.cli", "run", *flags], capture_output=True, timeout=300, **kwargs)
+        assert one.returncode == 0 and fresh.returncode == 0, one.stderr + fresh.stderr
+        cold, warm, built_cold, built_warm = json.loads(one.stdout)
+        assert built_cold >= 1 and built_warm == built_cold
+        assert _strip_wall_clock(cold) == _strip_wall_clock(warm) == _strip_wall_clock(fresh.stdout.strip())
+
     def test_different_seed_changes_numbers(self, capsys):
         _, out1 = _run(["run", "--suite", "resolution", "--seed", "1"], capsys)
         _, out2 = _run(["run", "--suite", "resolution", "--seed", "2"], capsys)

@@ -40,7 +40,7 @@ from loewnerkit import (
     radial_transition,
     resolution_check,
 )
-from loewnerkit import expansions
+from loewnerkit import cli, expansions
 from loewnerkit.cli import pick_psi
 from loewnerkit.errors import BranchCutError
 from loewnerkit.sampling import (
@@ -113,6 +113,69 @@ class TestQuadrature:
         with pytest.raises(TypeError) as from_trace:
             flow_trace(object(), 0.1, 3)
         assert str(from_rule.value) == str(from_trace.value) == "unsupported flow spec object"
+
+
+class TestReferenceRuleCache:
+    """gauss_legendre builds the [-1, 1] rule of each node count once and
+    maps it onto [a, b], with every check, on every call."""
+
+    @pytest.fixture
+    def leggauss_calls(self, monkeypatch):
+        calls, leggauss = [], np.polynomial.legendre.leggauss
+
+        def counted(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        expansions._reference_rule.cache_clear()
+        yield calls
+        expansions._reference_rule.cache_clear()
+
+    @pytest.mark.parametrize("n", [1, 4, 64, 1024])
+    def test_same_bits_as_leggauss_cold_and_warm(self, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        expansions._reference_rule.cache_clear()
+        for _ in range(2):
+            rule = gauss_legendre(n, -1.0, 1.0)
+            assert rule.nodes.tobytes() == x.tobytes() and rule.weights.tobytes() == w.tobytes()
+
+    def test_one_build_per_node_count(self, leggauss_calls):
+        cli.run(cli.validate_config({"suite": "all"}))
+        assert leggauss_calls == [64]
+        expansions._reference_rule.cache_clear()
+        leggauss_calls.clear()
+        flow_rule(GENERAL_CHORDAL["three-segment-closed-form"], 16)
+        assert leggauss_calls == [16]
+
+    def test_equal_node_counts_share_one_entry(self, leggauss_calls):
+        rules = [gauss_legendre(n, 0.0, 1.0) for n in (64, np.int64(64), True + 63)]
+        assert leggauss_calls == [64] and expansions._reference_rule.cache_info().currsize == 1
+        assert all(np.array_equal(rule.nodes, rules[0].nodes) for rule in rules)
+
+    def test_cached_arrays_are_read_only(self):
+        x, w = expansions._reference_rule(8)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
+
+    def test_writing_into_a_rule_leaves_the_next_rule_alone(self):
+        rule = gauss_legendre(8, -1.0, 1.0)
+        rule.nodes[:] = 0.0
+        rule.weights[:] = 0.0
+        x, w = np.polynomial.legendre.leggauss(8)
+        again = gauss_legendre(8, -1.0, 1.0)
+        assert np.array_equal(again.nodes, x) and np.array_equal(again.weights, w)
+
+    def test_checks_still_raise_after_a_cache_hit(self, leggauss_calls):
+        gauss_legendre(64, 0.0, 1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unresolved"):
+                gauss_legendre(64, 1e13, 1e13 + 1.0)
+            for n in (0, -3):
+                with pytest.raises(ValueError, match="at least 1"):
+                    gauss_legendre(n, 0.0, 1.0)
+        assert leggauss_calls == [64] and expansions._reference_rule.cache_info().currsize == 1
 
 
 # 0.3 + 0.4i lies in both the disk and the upper half-plane, so only the spec's
@@ -208,6 +271,12 @@ class TestResolution:
         assert report.passed
 
 
+UNIT_THREE_SEGMENT_SLIT = ChordalFlowSpec(
+    0.0, 1.0, ((0.0, AtomicMeasure.dirac(0.0)), (0.4, AtomicMeasure.dirac(0.7)), (0.8, AtomicMeasure.dirac(-1.2)))
+)
+KOEBE_THEN_DIRAC_AT_I = RadialFlowSpec(0.0, 1.0, ((0.0, DIRAC), (0.3, AtomicMeasure.dirac(1j))))
+
+
 def _derivative_family(family, n, seed):
     """(check, flow, n seeded point pairs) of one derivative identity."""
     if family == "radial":
@@ -257,6 +326,22 @@ class TestDerivativeIdentities:
         # One ulp at t = 1e13 is about 2e-3: t - h and t + h round to t.
         with pytest.raises(ValueError, match=r"h = 0\.0001 is below the time resolution at t = 10000000000000\.5"):
             check(flow, [1e13 + 0.5, 1e13 + 0.25], first, second)
+
+    @pytest.mark.parametrize(
+        "check, flow, t, first, second, breakpoint, clear_t",
+        [
+            (chordal_derivative_identity_check, UNIT_THREE_SEGMENT_SLIT, [0.2, 0.4], 1j, 1j, 0.4, 0.4001),
+            (radial_derivative_identity_check, KOEBE_THEN_DIRAC_AT_I, 0.3, 0.2, 0.3j, 0.3, 0.3001),
+        ],
+        ids=["chordal", "radial"],
+    )
+    def test_window_holding_a_driver_breakpoint_rejected(self, check, flow, t, first, second, breakpoint, clear_t):
+        # B_t has a kink at a breakpoint: a central difference across one
+        # misses the derivative by 0.080 (chordal) and 2.7e-3 (radial).
+        with pytest.raises(ValueError, match=rf"h = 0\.0001 too large: .* at t = {breakpoint} holds the driver breakpoint {breakpoint}$"):
+            check(flow, t, first, second)
+        # A window that ends at the breakpoint sees one segment only.
+        assert check(flow, clear_t, first, second).passed
 
     @pytest.mark.parametrize("family", ["radial", "chordal"])
     def test_scalar_time_broadcasts_against_point_arrays(self, family):
