@@ -258,9 +258,10 @@ def _flow_times(cls, spec, t):
     t = np.asarray(t, dtype=float)
     lo, hi = spec.start, spec.end
     inside = (lo - _TIME_SLACK <= t) & (t <= hi + _TIME_SLACK)
-    if not inside.all():
+    if np.count_nonzero(inside) < inside.size:  # cheaper than inside.all() on a 0-d array
         raise DomainError(f"{cls.family.time} = {float(t[~inside].flat[0])} outside flow interval [{lo}, {hi}]")
-    return np.clip(t, lo, hi)
+    # NaN is rejected above, so this clamp gives np.clip's values.
+    return np.minimum(np.maximum(t, lo), hi)
 
 
 def _driver_at(cls, spec, t, w):

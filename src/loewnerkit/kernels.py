@@ -76,20 +76,49 @@ class PaleyWienerKernel:
         return two_a * np.sinc(two_a * (z - np.conjugate(w)))
 
 
+def _first_duplicate(pts):
+    """The first pair (i, j), i < j in row-major order, of points closer than
+    ``DUPLICATE_TOL``, or None; O(n log n) unless many real parts are that close."""
+    order = np.argsort(pts.real, kind="stable")
+    ps = pts[order]
+    # Close points have real parts within DUPLICATE_TOL, so sorted position a
+    # is compared only with a + 1 .. stop[a] - 1; the factor 2 absorbs the
+    # rounding of re + DUPLICATE_TOL.  NaN sorts last and, like inf, never
+    # compares close.
+    stop = np.searchsorted(ps.real, ps.real + 2.0 * DUPLICATE_TOL, side="right")
+    count = stop - np.arange(1, len(ps) + 1)
+    ends = np.cumsum(count)
+    # Candidate c compares position a, the block of c in ends, with b = a + 1 + its place there.
+    b = np.arange(count.sum()) - np.repeat(ends - stop, count)
+    c = np.flatnonzero(np.abs(np.repeat(ps, count) - ps[b]) < DUPLICATE_TOL)
+    if not c.size:
+        return None
+    i, j = order[np.searchsorted(ends, c, side="right")], order[b[c]]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    first = np.argmin(lo * len(pts) + hi)
+    return lo[first], hi[first]
+
+
 def gram(spec, points) -> np.ndarray:
     """Hermitian matrix K[i][j] = k(z_i, z_j) over pairwise-distinct points,
     from one kernel call on the broadcast column and row of the points;
-    ValueError when K is not Hermitian or has a negative diagonal entry,
-    within ``HERMITIAN_TOL`` relative to max(1, max |K|)."""
+    ValueError when K has a non-finite entry, is not Hermitian or has a
+    negative diagonal entry, within ``HERMITIAN_TOL`` relative to
+    max(1, max |K|)."""
     pts = np.asarray(points, dtype=complex).reshape(-1)
-    close = np.abs(pts[:, None] - pts[None, :]) < DUPLICATE_TOL
-    i, j = np.nonzero(np.triu(close, 1))
-    if i.size:
-        raise ValueError(f"points {i[0]} and {j[0]} coincide within {DUPLICATE_TOL}")
+    pair = _first_duplicate(pts)
+    if pair is not None:
+        raise ValueError(f"points {pair[0]} and {pair[1]} coincide within {DUPLICATE_TOL}")
     k = np.asarray(spec(pts[:, None], pts[None, :]), dtype=complex)
     if k.shape != (len(pts), len(pts)):
         raise ValueError("matrix must be square and match the point count")
-    scale = max(1.0, float(np.max(np.abs(k))) if k.size else 1.0)
+    peak = float(np.max(np.abs(k), initial=0.0))
+    # max |K| is non-finite exactly when some entry is; NaN would otherwise
+    # pass the tolerance tests below, since nan > tol is False.
+    if not math.isfinite(peak):
+        i, j = np.argwhere(~np.isfinite(k))[0]
+        raise ValueError(f"matrix entry ({i}, {j}) is not finite")
+    scale = max(1.0, peak)
     if float(np.max(np.abs(k - k.conj().T), initial=0.0)) > HERMITIAN_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     # A Hermitian K has a real diagonal: |Im K[i][i]| is half |K - K^H| there.

@@ -17,8 +17,8 @@ BOUNDARY_MARGIN = 1e-12
 
 def in_disk(z):
     """True where z is a finite point with |z| < 1 - BOUNDARY_MARGIN."""
-    z = np.asarray(z, dtype=complex)
-    return np.isfinite(z) & (np.abs(z) < 1.0 - BOUNDARY_MARGIN)
+    # |z| is inf or nan at a non-finite z, so the one comparison rejects it.
+    return np.abs(np.asarray(z, dtype=complex)) < 1.0 - BOUNDARY_MARGIN
 
 
 def in_halfplane(w):
@@ -30,7 +30,7 @@ def in_halfplane(w):
 def _require(points, inside, name: str, domain: str):
     points = np.asarray(points, dtype=complex)
     ok = inside(points)
-    if not ok.all():
+    if np.count_nonzero(ok) < ok.size:  # cheaper than ok.all() on a 0-d array
         raise DomainError(f"{name} = {complex(points[~ok].flat[0])} is not inside the open {domain}")
     return points[()]
 

@@ -100,6 +100,23 @@ class TestRadial:
         with pytest.raises(DomainError):
             radial_transition(spec, 1.5, 0.3)
 
+    def test_nan_time_rejected(self):
+        spec = RadialFlowSpec.koebe(0.0, 1.0)
+        with pytest.raises(DomainError, match=r"^t = nan outside flow interval"):
+            radial_transition(spec, math.nan, 0.3)
+        with pytest.raises(DomainError, match=r"^t = nan outside flow interval"):
+            radial_transition(spec, np.array([0.5, math.nan]), 0.3)
+        with pytest.raises(DomainError, match=r"^s = nan outside flow interval"):
+            chordal_transition(ChordalFlowSpec.basic_slit(0.0, 1.0), math.nan, 1j)
+
+    def test_time_within_slack_of_the_interval_is_clamped(self):
+        spec = RadialFlowSpec.koebe(0.0, 1.0)
+        z = 0.3 + 0.2j
+        assert radial_transition(spec, 1.0 + 5e-13, z) == radial_transition(spec, 1.0, z)
+        assert radial_transition(spec, -5e-13, z) == radial_transition(spec, 0.0, z)
+        times = np.array([-5e-13, 0.5, 1.0 + 5e-13])
+        assert np.array_equal(radial_transition(spec, times, z), radial_transition(spec, np.array([0.0, 0.5, 1.0]), z))
+
     def test_escape_reported(self):
         spec = RadialFlowSpec.koebe(0.0, 1.0, backend=RUNGE_KUTTA)
         with pytest.raises(FlowEscapeError):

@@ -124,6 +124,36 @@ class TestKernelEval:
             assert abs(spec(z, w) - spec(w, z).conjugate()) <= 1e-12
 
 
+def _ones(z, w):
+    return np.ones(np.broadcast(z, w).shape)
+
+
+def _first_close_pair(points):
+    """The first (i, j), i < j, in row-major order with |z_i - z_j| < DUPLICATE_TOL, by brute force."""
+    pts = np.asarray(points, dtype=complex)
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if np.abs(pts[i] - pts[j]) < kernels.DUPLICATE_TOL:
+                return i, j
+    return None
+
+
+# Points whose coordinates share two values, shifted by multiples of
+# DUPLICATE_TOL either side of it, and non-finite points.
+def _coordinate(shifts):
+    return st.builds(lambda base, shift: base + shift * kernels.DUPLICATE_TOL, st.sampled_from([0.0, 0.3]), st.sampled_from(shifts))
+
+
+_near_duplicate_points = st.one_of(
+    st.builds(
+        complex,
+        _coordinate([-2.0, -1.01, -1.0, -0.99, -0.5, 0.0, 0.5, 0.99, 1.0, 1.01]),
+        _coordinate([-1.0, -0.5, 0.0, 0.5, 1.0]),
+    ),
+    st.sampled_from([complex("nan"), complex("inf"), complex(math.inf, math.nan), complex(math.nan, 0.5), complex(0.3, math.inf)]),
+)
+
+
 class TestGram:
     def test_single_point_diagonal_nonnegative(self):
         g = gram(DbrDiskKernel(_koebe_end), [0.4 + 0.1j])
@@ -152,6 +182,45 @@ class TestGram:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
             gram(DbrDiskKernel(_koebe_end), [0.1, 0.1 + 5e-11])
+
+    def test_duplicate_message_names_the_lexicographically_first_pair(self):
+        # The sort by real part meets the pair (1, 3) first; the message still names (0, 2).
+        with pytest.raises(ValueError, match=r"^points 0 and 2 coincide within 1e-10$"):
+            gram(_ones, [0.3, 0.1, 0.3 + 5e-11, 0.1 + 5e-11j])
+
+    @pytest.mark.parametrize("line", [1j * np.linspace(-0.9, 0.9, 521), np.linspace(-0.9, 0.9, 521)], ids=["vertical", "horizontal"])
+    def test_lines_of_distinct_points_pass(self, line):
+        assert gram(_ones, line).shape == (521, 521)
+
+    def test_planted_duplicate_on_a_vertical_line_named(self):
+        line = 1j * np.linspace(-0.9, 0.9, 521)
+        line[400] = line[17] + 3e-11j
+        with pytest.raises(ValueError, match=r"^points 17 and 400 coincide"):
+            gram(_ones, line)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(_near_duplicate_points, max_size=24))
+    def test_duplicate_test_matches_all_pairs(self, points):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            pair = _first_close_pair(points)
+            if pair is None:
+                assert gram(_ones, points).shape == (len(points), len(points))
+            else:
+                with pytest.raises(ValueError, match=rf"^points {pair[0]} and {pair[1]} coincide"):
+                    gram(_ones, points)
+
+    @pytest.mark.parametrize("entries,named", [({(0, 1): complex("nan"), (1, 0): 5.0}, (0, 1)), ({(2, 1): complex("inf"), (1, 2): complex("inf")}, (1, 2))])
+    def test_non_finite_entry_rejected(self, entries, named):
+        # A NaN would pass every tolerance test (nan > tol is False) and leave
+        # psd_check to read only one triangle.
+        def spec(z, w):
+            k = np.ones(np.broadcast(z, w).shape, dtype=complex)
+            for at, value in entries.items():
+                k[at] = value
+            return k
+
+        with pytest.raises(ValueError, match=rf"^matrix entry \({named[0]}, {named[1]}\) is not finite$"):
+            gram(spec, [0.1, 0.2, 0.3])
 
     def test_non_hermitian_matrix_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):

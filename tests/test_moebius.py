@@ -66,6 +66,34 @@ def test_predicates():
     assert in_halfplane(1j) and not in_halfplane(-1j) and not in_halfplane(0.0)
 
 
+_EDGE_POINTS = [
+    complex("nan"),
+    complex("inf"),
+    complex(np.inf, np.nan),
+    complex(np.nan, 0.5),
+    complex(0.3, np.inf),
+    1.0 - 1e-13,
+    0.5,
+    0.5j,
+    1e-13j,
+]
+
+
+@pytest.mark.parametrize(
+    "predicate,expected",
+    [
+        (in_disk, [False, False, False, False, False, False, True, True, True]),
+        (in_halfplane, [False, False, False, False, False, False, False, True, False]),
+    ],
+    ids=["disk", "halfplane"],
+)
+def test_predicates_at_non_finite_and_boundary_points(predicate, expected):
+    for z, inside in zip(_EDGE_POINTS, expected):
+        assert predicate(z) == inside, z
+    assert np.array_equal(predicate(np.array(_EDGE_POINTS)), expected)
+    assert np.array_equal(predicate(np.array(_EDGE_POINTS[:8]).reshape(2, 4)), np.reshape(expected[:8], (2, 4)))
+
+
 def test_one_bad_point_in_an_array_is_named():
     with pytest.raises(DomainError, match=r"z = \(1\+0j\)"):
         require_disk(np.array([0.1, 0.5j, 1.0, 2.0]))
