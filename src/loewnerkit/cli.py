@@ -83,6 +83,7 @@ MAX_NODES = 1024
 MAX_TRACE_SAMPLES = 10**6
 MEMBERSHIP_SIZES = (16, 32, 64, 128)
 MEMBERSHIP_EPS = 1e-8
+PSD_POINTS, PSD_SEEDS = 8, 5  # points per Gram and seeds per kernel of the kernel-psd suite
 # Finite-difference step of the derivative suites.
 DERIVATIVE_STEP = 1e-4
 # The keys of a config file; the run flags of the same names override them.
@@ -277,14 +278,14 @@ def pick_psi(z):
 
 def kernel_catalog(a: float, b: float):
     """The kernel-psd catalog for the flow interval [a, b]: rows of (name,
-    kernel, sampler), where sampler(seed) draws the kernel's 8 points."""
+    kernel, sampler), where sampler(seed) draws the kernel's PSD_POINTS points."""
     flow = RadialFlowSpec.koebe(a, b)
-    disk = functools.partial(disk_points, 8)
+    disk = functools.partial(disk_points, PSD_POINTS)
     return (
         ("dbr-koebe", DbrDiskKernel(functools.partial(radial_transition, flow, flow.end)), disk),
         ("herglotz-phi-minus-one", HerglotzSpaceKernel(lambda z: (1.0 - z) / (1.0 + z)), disk),
-        ("pick-cayley-image", PickSpaceKernel(pick_phi), functools.partial(halfplane_points, 8)),
-        ("paley-wiener", PaleyWienerKernel(1.0), lambda seed: rect_points(8, seed, (-1.0, 1.0, -0.35, 0.35))),
+        ("pick-cayley-image", PickSpaceKernel(pick_phi), functools.partial(halfplane_points, PSD_POINTS)),
+        ("paley-wiener", PaleyWienerKernel(1.0), lambda seed: rect_points(PSD_POINTS, seed, (-1.0, 1.0, -0.35, 0.35))),
         # 0.5 * (a + b) would overflow for a and b near the largest float.
         ("loewner-time", loewner_time_kernel(flow, 0.5 * a + 0.5 * b), disk),
     )
@@ -295,7 +296,7 @@ def _suite_kernel_psd(cfg: SuiteConfig, tol: float):
     for name, spec, sample in kernel_catalog(cfg.a, cfg.b):
         worst = math.inf
         passed = True
-        for offset in range(5):
+        for offset in range(PSD_SEEDS):
             matrix = gram(spec, sample(cfg.seed + offset))
             if cfg.corrupt_psd:
                 matrix[0, 0] = -matrix[0, 0]  # test hook: negate one entry
@@ -303,7 +304,7 @@ def _suite_kernel_psd(cfg: SuiteConfig, tol: float):
             worst = min(worst, min_eig)
             passed = passed and ok
         name += "-corrupted" if cfg.corrupt_psd else ""
-        entries.append({"kind": "psd", "name": name, "size": 8, "seeds": 5, "min_eigenvalue": worst, "tol": tol, "pass": passed})
+        entries.append({"kind": "psd", "name": name, "size": PSD_POINTS, "seeds": PSD_SEEDS, "min_eigenvalue": worst, "tol": tol, "pass": passed})
     return entries
 
 
@@ -459,20 +460,14 @@ def dumps_report(obj) -> str:
 
 
 def _emit(obj, out):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
+    if obj is None or isinstance(obj, (bool, str)):
+        out.append(json.dumps(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"cannot serialize non-finite float {obj}")
         out.append(format(obj, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchCutError
-from .flows import ChordalFlowSpec, RadialFlowSpec, _flow_times, _interval, _segments, chordal_transition, driver_herglotz, driver_pick, radial_transition
+from .flows import ChordalFlowSpec, RadialFlowSpec, _flow_times, _interval, chordal_transition, driver_herglotz, driver_pick, radial_transition
 from .kernels import DbrDiskKernel, HerglotzSpaceKernel, PaleyWienerKernel, PickSpaceKernel, gram
 from .moebius import cayley_to_disk, cayley_to_halfplane, require_disk, require_halfplane
-from .representations import AtomicMeasure, PickRepresentation, herglotz_eval, pick_eval
+from .representations import UNIT_MODULUS_TOL, AtomicMeasure, PickRepresentation, herglotz_eval, pick_eval
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -70,8 +70,7 @@ def flow_rule(flow, nodes_per_segment: int = 64) -> QuadratureRule:
     """Gauss-Legendre rule over the flow interval, one sub-rule per driver
     segment, so piecewise-constant drivers stay analytic on each sub-rule."""
     lo, hi = _interval(flow)
-    edges = [(s0, s1) for s0, s1, _ in _segments(flow.driver, lo, hi)] or [(lo, hi)]
-    pieces = [gauss_legendre(nodes_per_segment, s0, s1) for s0, s1 in edges]
+    pieces = [gauss_legendre(nodes_per_segment, s0, s1) for s0, s1, _ in flow.segments or ((lo, hi, None),)]
     nodes = np.concatenate([p.nodes for p in pieces])
     weights = np.concatenate([p.weights for p in pieces])
     return QuadratureRule(nodes, weights, lo, hi)
@@ -104,6 +103,13 @@ def _integral(rule: QuadratureRule, table):
     return np.sum(rule.weights[:, None] * table, axis=0)
 
 
+def _nodes(rule: QuadratureRule, a: float, b: float):
+    """The rule's nodes as a column; ValueError unless the rule spans [a, b]."""
+    if abs(rule.a - a) > 1e-12 or abs(rule.b - b) > 1e-12:
+        raise ValueError(f"rule on [{rule.a}, {rule.b}] must span [{a}, {b}]")
+    return rule.nodes[:, None]
+
+
 def _node_and_end_table(transition, flow, rule: QuadratureRule, first, second):
     """B_t at the rule's nodes and at the end time, for both point columns,
     from one (nodes + 1) x 2p transition table: returns the two (node,
@@ -128,8 +134,8 @@ def resolution_check(flow: RadialFlowSpec, rule: QuadratureRule, point_pairs, to
     (1 - conj(B_b(lam)) B_b(mu)) / (1 - conj(lam) mu), where k(t, ., .) is
     the time-t kernel of ``loewner_time_kernel``."""
     lam, mu = (require_disk(c) for c in _columns(point_pairs))
+    nodes = _nodes(rule, *_interval(flow))
     (b_lam, b_mu), (end_lam, end_mu) = _node_and_end_table(radial_transition, flow, rule, lam, mu)
-    nodes = rule.nodes[:, None]
     phi_lam, phi_mu = (driver_herglotz(flow, nodes, b) for b in (b_lam, b_mu))
     denom = 1.0 - lam.conjugate() * mu
     lhs = 1.0 + _integral(rule, b_lam.conjugate() * b_mu * (phi_lam.conjugate() + phi_mu) / denom)
@@ -149,7 +155,7 @@ def _fd_tables(transition, flow, t, first, second, h: float):
     t, first, second = (np.reshape(v, -1) for v in np.broadcast_arrays(np.asarray(t, dtype=float), first, second))
     if np.any(t - h < flow.start) or np.any(t + h > flow.end):
         raise ValueError(f"step h = {h} too large: [t-h, t+h] must stay in [{flow.start}, {flow.end}]")
-    for bp, _, _ in _segments(flow.driver, flow.start, flow.end)[1:]:
+    for bp, _, _ in flow.segments[1:]:
         kinked = (t - h < bp) & (bp < t + h)
         if kinked.any():
             raise ValueError(f"step h = {h} too large: [t-h, t+h] at t = {t[kinked][0]} holds the driver breakpoint {bp}")
@@ -202,7 +208,7 @@ def dbr_element(flow: RadialFlowSpec, h, lam: complex, rule: QuadratureRule):
     flow interval and k(t, ., .) the time-t kernel of ``loewner_time_kernel``;
     it takes z as a scalar or a numpy array."""
     lam = require_disk(lam)
-    nodes = rule.nodes[:, None]
+    nodes = _nodes(rule, *_interval(flow))
     phi_lam = driver_herglotz(flow, nodes, radial_transition(flow, nodes, lam)).conjugate()
     half_h = 0.5 * np.array([float(h(t) if callable(h) else h) for t in rule.nodes])[:, None]
 
@@ -221,7 +227,12 @@ def koebe_log_element(flow: RadialFlowSpec):
     space of B_b, for the end map B_b of a Koebe flow; it takes z as a scalar
     or a numpy array.  Both factors of the log argument have positive real
     part on the disk; a BranchCutError names the first point where one does
-    not, so the principal branch is never silently left."""
+    not, so the principal branch is never silently left.  It raises when built
+    for another family (TypeError) or a driver other than Koebe's (ValueError)."""
+    _flow_times(RadialFlowSpec, flow, _interval(flow)[0])  # the TypeError of a spec of another family
+    for _, _, mu in flow.segments:
+        if len(mu.atoms) != 1 or abs(mu.atoms[0][0] + 1.0) > UNIT_MODULUS_TOL:
+            raise ValueError(f"the log element needs the Koebe driver, a unit atom at -1, on every segment; got {mu}")
 
     def element(z):
         z = require_disk(z)
@@ -319,8 +330,9 @@ def chordal_exp_kernel_check(flow: ChordalFlowSpec, rule: QuadratureRule, point_
     k_t the Pick-space kernel of the driver's P_t (1 / (conj(B_t(alpha)) B_t(z))
     for the basic slit), equals (B_b(z) - conj(B_b(alpha))) / (z - conj(alpha))."""
     alpha, z = (require_halfplane(c) for c in _columns(point_pairs))
+    nodes = _nodes(rule, *_interval(flow))
     (b_alpha, b_z), (end_alpha, end_z) = _node_and_end_table(chordal_transition, flow, rule, alpha, z)
-    lhs = np.exp(_integral(rule, PickSpaceKernel(lambda w: driver_pick(flow, rule.nodes[:, None], w))(b_z, b_alpha)))
+    lhs = np.exp(_integral(rule, PickSpaceKernel(lambda w: driver_pick(flow, nodes, w))(b_z, b_alpha)))
     rhs = (end_z - end_alpha.conjugate()) / (z - alpha.conjugate())
     return _report("chordal-exp-kernel", len(point_pairs), np.abs(lhs - rhs), tol)
 
@@ -339,7 +351,7 @@ def chordal_exp_element_check(flow: ChordalFlowSpec, rule: QuadratureRule, point
     """Pointwise identity exp(-integral of P_t(B_t(z)) dt) = exp(z - B_b(z)), with
     P_t the driver's Pick function and the right side from ``chordal_exp_element``."""
     pts = require_halfplane(np.reshape(points, -1))
-    nodes = rule.nodes[:, None]
+    nodes = _nodes(rule, *_interval(flow))
     lhs = np.exp(-_integral(rule, driver_pick(flow, nodes, chordal_transition(flow, nodes, pts))))
     return _report("chordal-exp-element", len(points), np.abs(lhs - chordal_exp_element(flow)(pts)), tol)
 
@@ -364,9 +376,7 @@ def paley_wiener_reconstruction_check(bandwidth: float, rule: QuadratureRule, po
     """Time-limited Fourier quadrature over [-A, A] of
     conj(exp(-2 pi i lam t)) exp(-2 pi i z t) reproduces the sinc kernel
     sin(2 pi A (z - conj(lam))) / (pi (z - conj(lam)))."""
-    if abs(rule.a + bandwidth) > 1e-12 or abs(rule.b - bandwidth) > 1e-12:
-        raise ValueError("rule must cover [-A, A]")
+    nodes = _nodes(rule, -bandwidth, bandwidth)
     lam, z = _columns(point_pairs)
-    nodes = rule.nodes[:, None]
     lhs = _integral(rule, np.exp(-2j * math.pi * lam * nodes).conjugate() * np.exp(-2j * math.pi * z * nodes))
     return _report("pw-reconstruction", len(point_pairs), np.abs(lhs - PaleyWienerKernel(bandwidth)(z, lam)), tol)

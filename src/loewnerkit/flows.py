@@ -114,7 +114,7 @@ def _closed_form(spec, t, z):
     """B_t(z), the exact maps of the driver segments of [start, t] composed; t lies in [start, end]."""
     start, end, segment_map = spec.start, spec.end, spec.family.segment
     w = z if start < end else np.broadcast_to(z, np.broadcast(t, z).shape).copy()
-    for lo, hi, mu in _segments(spec.driver, start, end):
+    for lo, hi, mu in spec.segments:
         # On a scalar, np.where and clamping t to [lo, hi] cost more than the
         # segment map; the clamp is a no-op at the interval's own ends.
         dt = (t if hi == end else np.minimum(t, hi)) - lo
@@ -132,16 +132,6 @@ def _rk4_step(y: complex, h: float, f) -> complex:
     k3 = f(y + 0.5 * h * k2)
     k4 = f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _segments(driver, t0: float, t1: float):
-    out = []
-    for i, (bp, mu) in enumerate(driver):
-        lo = max(bp, t0)
-        hi = t1 if i + 1 == len(driver) else min(driver[i + 1][0], t1)
-        if hi > lo:
-            out.append((lo, hi, mu))
-    return out
 
 
 def _herglotz_field(mu: AtomicMeasure):
@@ -185,13 +175,15 @@ class _Family(NamedTuple):
 class _FlowSpec:
     """Loewner transition family on [start, end]; a subclass names its
     ``family``.  ``driver`` is a sorted tuple of (breakpoint, measure); the
-    measure at the k-th breakpoint applies until the next one."""
+    measure at the k-th breakpoint applies until the next one; ``segments``,
+    built with the spec, holds its non-empty (lo, hi, measure) pieces."""
 
     start: float
     end: float
     driver: tuple
     backend: str = CLOSED_FORM
     ode: OdeConfig = field(default_factory=OdeConfig)
+    segments: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         start, end = float(self.start), float(self.end)
@@ -201,6 +193,9 @@ class _FlowSpec:
             raise ValueError(f"interval [{start}, {end}] must satisfy 0 <= start <= end < inf")
         driver = _validate_driver(self.driver, start, self.family.on_circle)
         object.__setattr__(self, "driver", driver)
+        ends = [bp for bp, _ in driver[1:]] + [end]
+        pieces = ((max(bp, start), min(hi, end), mu) for (bp, mu), hi in zip(driver, ends))
+        object.__setattr__(self, "segments", tuple(p for p in pieces if p[1] > p[0]))
         if self.backend == CLOSED_FORM:
             if any(len(mu.atoms) != 1 for _, mu in driver):
                 raise ValueError("closed-form backend requires a single-atom measure on every driver segment; use backend='rk4'")
@@ -317,7 +312,7 @@ def _sweep(spec, z: complex, times):
     times = iter(times)
     t = next(times, None)
     y = z
-    for lo, hi, mu in _segments(spec.driver, spec.start, spec.end):
+    for lo, hi, mu in spec.segments:
         f = field_of(mu)
         n = max(1, math.ceil((hi - lo) / spec.ode.step - _TIME_SLACK))
         h = (hi - lo) / n

@@ -30,7 +30,7 @@ DISK_RMAX = 0.9
 HALFPLANE_RECT = (-2.0, 2.0, 0.1, 2.1)
 # Quadrature and finite-difference checks sample further from the boundary
 # so that the integrands stay analytic in a comfortable neighborhood of the
-# time interval (see the per-check defaults in `expansions`).
+# time interval (the suites in `cli` choose these regions for them).
 DISK_RMAX_SAFE = 0.7
 HALFPLANE_RECT_SAFE = (-2.0, 2.0, 0.5, 2.1)
 

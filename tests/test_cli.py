@@ -379,6 +379,14 @@ class TestRun:
             ("resolution", "identity", "resolution", identity),
         ]
 
+    def test_kernel_psd_entries_report_the_grams_that_ran(self, monkeypatch, capsys):
+        sizes = []
+        monkeypatch.setattr(cli, "gram", lambda kernel, points, gram=cli.gram: sizes.append(len(points)) or gram(kernel, points))
+        _, out = _run(["run", "--suite", "kernel-psd"], capsys)
+        entries = json.loads(out)["entries"]
+        assert {(e["size"], e["seeds"]) for e in entries} == {(cli.PSD_POINTS, cli.PSD_SEEDS)}
+        assert sizes == [e["size"] for e in entries for _ in range(e["seeds"])]
+
     def test_interval_at_the_largest_floats(self, capsys):
         # 0.5 * (a + b) overflows here, and the quadrature rules and the
         # loewner-time kernel of kernel-psd take the midpoint of [a, b].

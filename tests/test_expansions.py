@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -448,6 +449,54 @@ class TestKoebeLogElement:
     def test_seeded_points(self, seed):
         report = koebe_log_element_check(KOEBE, RULE, disk_points(20, seed, rmax=DISK_RMAX_SAFE))
         assert report.passed and report.max_abs_err <= 1e-8
+
+
+    @pytest.mark.parametrize(
+        "flow, rule",
+        [
+            (RadialFlowSpec(0.0, 1.0, ((0.0, AtomicMeasure.dirac(1j)),)), RULE),
+            (KOEBE_THEN_DIRAC_AT_I, flow_rule(KOEBE_THEN_DIRAC_AT_I, 32)),
+            (RadialFlowSpec(0.0, 1.0, ((0.0, MIX),), backend=RUNGE_KUTTA), RULE),
+        ],
+        ids=["dirac-at-i", "koebe-then-dirac-at-i", "two-atoms"],
+    )
+    def test_a_driver_other_than_koebe_raises_when_built(self, flow, rule):
+        other = next(mu for _, _, mu in flow.segments if mu != DIRAC)
+        with pytest.raises(ValueError, match=re.escape(f"got {other}")):
+            koebe_log_element(flow)
+        with pytest.raises(ValueError, match="needs the Koebe driver"):
+            koebe_log_element_check(flow, rule, disk_points(20, 1, rmax=0.7))
+
+    def test_a_non_koebe_measure_outside_the_interval_is_no_piece(self):
+        # The Dirac at i applies before 0.5 only; a degenerate interval has no piece.
+        driver = ((0.0, AtomicMeasure.dirac(1j)), (0.5, AtomicMeasure.dirac(complex(-1.0, 1e-13))))
+        flow = RadialFlowSpec(0.5, 1.0, driver)
+        assert koebe_log_element_check(flow, flow_rule(flow, 64), disk_points(20, 1, rmax=DISK_RMAX_SAFE)).passed
+        assert koebe_log_element(RadialFlowSpec(0.5, 0.5, driver[:1]))(0.3 + 0.1j) == 0.0
+
+
+_HALF_RULE = gauss_legendre(64, 0.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: resolution_check(KOEBE, _HALF_RULE, disk_pairs(10, 1, rmax=DISK_RMAX_SAFE)),
+        lambda: dbr_element(KOEBE, 1.0, 0.0, _HALF_RULE),
+        lambda: koebe_log_element_check(KOEBE, _HALF_RULE, disk_points(20, 1, rmax=DISK_RMAX_SAFE)),
+        lambda: chordal_exp_kernel_check(SLIT, _HALF_RULE, halfplane_pairs(10, 1, rect=HALFPLANE_RECT_SAFE)),
+        lambda: chordal_exp_element_check(SLIT, _HALF_RULE, halfplane_points(20, 1, rect=HALFPLANE_RECT_SAFE)),
+    ],
+    ids=["resolution_check", "dbr_element", "koebe_log_element_check", "chordal_exp_kernel_check", "chordal_exp_element_check"],
+)
+def test_a_rule_that_does_not_span_the_flow_raises(call):
+    with pytest.raises(ValueError, match=re.escape("rule on [0.0, 0.5] must span [0.0, 1.0]")):
+        call()
+
+
+def test_a_rule_within_1e_12_of_the_flow_interval_spans_it():
+    rule = QuadratureRule(RULE.nodes, RULE.weights, 1e-13, 1.0 - 1e-13)
+    assert resolution_check(KOEBE, rule, disk_pairs(10, 1, rmax=DISK_RMAX_SAFE)).passed
 
 
 class TestCayleyIsometry:

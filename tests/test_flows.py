@@ -247,13 +247,73 @@ def test_the_papers_interval_names_read_start_and_end(spec, names):
             setattr(spec, name, 0.5)
 
 
+def _segments_reference(driver, start, end):
+    """The non-empty pieces of a driver over [start, end], by brute force: cut
+    [start, end] at every breakpoint strictly inside it and give each piece
+    the measure of the last breakpoint at or before its left end.  A first
+    breakpoint within 1e-12 after start counts as start, as the spec snaps it."""
+    breakpoints = [bp for bp, _ in driver]
+    if start < breakpoints[0] <= start + 1e-12:
+        breakpoints[0] = start
+    cuts = sorted({start, end, *(bp for bp in breakpoints if start < bp < end)})
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        k = max(i for i, bp in enumerate(breakpoints) if bp <= lo)
+        pieces.append((lo, hi, driver[k][1]))
+    return tuple(pieces)
+
+
+@st.composite
+def _intervals_and_drivers(draw):
+    start = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    end = start + draw(st.sampled_from([0.0, 0.5, 2.0]))
+    # Before the start, at it, or within the snap slack after it.
+    first = draw(st.sampled_from([start - 1.0, start - 0.25, start, start + 5e-13]))
+    later = st.one_of(st.floats(first, end + 1.0, exclude_min=True), st.sampled_from([start, 0.7 * start + 0.3 * end, 0.5 * start + 0.5 * end, end, end + 0.5]))
+    breakpoints = sorted({first, *(bp for bp in draw(st.lists(later, max_size=5)) if bp > first)})
+    return start, end, tuple((bp, AtomicMeasure.dirac(float(k))) for k, bp in enumerate(breakpoints))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_intervals_and_drivers())
+def test_segments_match_the_brute_force_pieces(case):
+    start, end, driver = case
+    spec = ChordalFlowSpec(start, end, driver)
+    assert spec.segments == _segments_reference(driver, start, end)
+    assert all(lo < hi for lo, hi, _ in spec.segments)
+    assert (start == end) == (spec.segments == ())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [RadialFlowSpec(0.0, 1.0, ((0.0, AtomicMeasure.dirac(-1.0)), (0.5, AtomicMeasure.dirac(1j))), backend=RUNGE_KUTTA), ChordalFlowSpec.basic_slit(0.25, 1.5)],
+    ids=["radial", "chordal"],
+)
+def test_the_segment_table_leaves_equality_hash_repr_and_replace_alone(spec):
+    cls = type(spec)
+    twin = cls(spec.start, spec.end, spec.driver, spec.backend, spec.ode)
+    assert twin == spec and hash(twin) == hash(spec) == hash((spec.start, spec.end, spec.driver, spec.backend, spec.ode))
+    fields = f"start={spec.start!r}, end={spec.end!r}, driver={spec.driver!r}, backend={spec.backend!r}, ode={spec.ode!r}"
+    assert repr(spec) == f"{cls.__name__}({fields})"
+    with pytest.raises(TypeError):
+        cls(spec.start, spec.end, spec.driver, segments=())
+    with pytest.raises(ValueError):
+        dataclasses.replace(spec, segments=())
+    # replace builds the table of the new interval.
+    later = dataclasses.replace(spec, start=0.75)
+    assert later.segments == _segments_reference(spec.driver, 0.75, spec.end) and later != spec
+
+
 def _restart_reference(spec, t, z):
     """Restart RK4: integrate (t, z) from the interval start on the grid of
     the segments up to t.  The one-sweep integrator reproduces it bit for
     bit at the interval end and at driver breakpoints."""
-    start, field_of = spec.start, spec.family.rk4_field
+    field_of = spec.family.rk4_field
     y = complex(z)
-    for lo, hi, mu in flows._segments(spec.driver, start, t):
+    for lo, hi, mu in spec.segments:
+        hi = min(hi, t)
+        if hi <= lo:
+            break
         f = field_of(mu)
         n = max(1, math.ceil((hi - lo) / spec.ode.step - 1e-12))
         for _ in range(n):
