@@ -41,7 +41,6 @@ from .flows import (
     driver_pick,
     flow_trace,
     iter_flow_trace,
-    koebe_eval,
     radial_transition,
     sqrt_halfplane,
 )

@@ -192,7 +192,7 @@ def validate_config(raw: dict) -> SuiteConfig:
             herglotz_atoms = AtomicMeasure(tuple(parsed))
         except ValueError as exc:
             _fail(f"herglotz_atoms: {exc}")
-        if not (herglotz_atoms.on_unit_circle() and herglotz_atoms.is_probability()):
+        if not herglotz_atoms.is_radial_driver():
             _fail("herglotz_atoms must form a probability measure on the unit circle")
 
     pick_rep = None

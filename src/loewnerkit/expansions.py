@@ -150,11 +150,12 @@ def _fd_tables(transition, flow, t, first, second, h: float):
     the flow or holds a driver breakpoint strictly inside, where B_t has a
     kink, or when t - h and t + h, as floats, are not 2h apart to 1e-6
     relative: then the difference quotient would not divide by its spacing."""
+    start, end = _interval(flow)
     if not (h > 0.0):
         raise ValueError("h must be positive")
     t, first, second = (np.reshape(v, -1) for v in np.broadcast_arrays(np.asarray(t, dtype=float), first, second))
-    if np.any(t - h < flow.start) or np.any(t + h > flow.end):
-        raise ValueError(f"step h = {h} too large: [t-h, t+h] must stay in [{flow.start}, {flow.end}]")
+    if np.any(t - h < start) or np.any(t + h > end):
+        raise ValueError(f"step h = {h} too large: [t-h, t+h] must stay in [{start}, {end}]")
     for bp, _, _ in flow.segments[1:]:
         kinked = (t - h < bp) & (bp < t + h)
         if kinked.any():
@@ -359,7 +360,7 @@ def chordal_exp_element_check(flow: ChordalFlowSpec, rule: QuadratureRule, point
 def herglotz_mixture_check(mu: AtomicMeasure, point_pairs, tol: float = 1e-12) -> IdentityReport:
     """Mixing elementary Herglotz kernels with the atom weights reproduces
     the Herglotz kernel of the mixture; exact for atomic measures."""
-    if not (mu.on_unit_circle() and mu.is_probability()):
+    if not mu.is_radial_driver():
         raise ValueError("mu must be a probability measure on the unit circle")
     z, lam = (require_disk(c) for c in _columns(point_pairs))
     denom = 1.0 - lam.conjugate() * z

@@ -66,19 +66,11 @@ def _validate_driver(driver, start: float, on_circle: bool):
         if not isinstance(mu, AtomicMeasure):
             raise ValueError("driver segments must carry AtomicMeasure values")
         if on_circle:
-            if not mu.on_unit_circle():
-                raise ValueError("radial driver measures must live on the unit circle")
-            if not mu.is_probability():
-                raise ValueError("radial driver measures must be probability measures")
+            if not mu.is_radial_driver():
+                raise ValueError("radial driver measures must be probability measures on the unit circle")
         elif not mu.on_real_line():
             raise ValueError("chordal driver measures must live on the real line")
     return driver
-
-
-def koebe_eval(t, z):
-    """Koebe function e^t z / (1 - z)^2 at z in D."""
-    z = require_disk(z)
-    return np.exp(t) * z / (1.0 - z) ** 2
 
 
 def sqrt_halfplane(w):

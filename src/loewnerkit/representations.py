@@ -55,6 +55,11 @@ class AtomicMeasure:
     def on_real_line(self) -> bool:
         return all(abs(xi.imag) <= UNIT_MODULUS_TOL for xi, _ in self.atoms)
 
+    def is_radial_driver(self) -> bool:
+        """A probability measure on the unit circle: the one rule for a radial
+        driver measure and for the measure of ``herglotz_eval``."""
+        return self.on_unit_circle() and self.is_probability()
+
 
 # Driver of the Koebe semigroup: the Dirac measure at xi = -1.
 DIRAC_MINUS_ONE = AtomicMeasure.dirac(-1.0)
@@ -90,10 +95,8 @@ class PickRepresentation:
 
 def herglotz_eval(mu: AtomicMeasure, z):
     """Herglotz function of a probability measure on the circle, at z in D."""
-    if not mu.on_unit_circle():
-        raise ValueError("mu must be supported on the unit circle")
-    if not mu.is_probability():
-        raise ValueError(f"mu has total mass {mu.total_mass()}, expected 1")
+    if not mu.is_radial_driver():
+        raise ValueError(f"mu must be a probability measure on the unit circle, got total mass {mu.total_mass()}")
     z = require_disk(z)
     return sum(w * (1.0 + xi * z) / (1.0 - xi * z) for xi, w in mu.atoms)
 

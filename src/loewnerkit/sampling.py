@@ -9,11 +9,14 @@ quality here, so the generator is fully documented:
 * Points follow the additive low-discrepancy sequence with the plastic
   constant rho = 1.3247179572447460 (u_i = frac(o1 + i/rho),
   v_i = frac(o2 + i/rho^2)), rotated per seed by the LCG offsets o1, o2.
-* Disk points use the radial-angular map r = rmax*sqrt(u), theta = 2*pi*v;
-  rectangle points map (u, v) affinely.
+* One generator yields these (u, v) pairs, and every point set maps them:
+  disk points by the radial-angular map r = rmax*sqrt(u), theta = 2*pi*v,
+  rectangle points affinely.
 
 Prefix property: the first m of n points never depend on n, so nested
-point sets are prefixes of one stream.
+point sets are prefixes of one stream.  One size rule holds for every
+nested family (``nested_prefix_sets``): sizes are nonnegative and strictly
+increasing, else ValueError.  ``point_pairs`` takes an even-length list only.
 """
 
 import math
@@ -43,36 +46,28 @@ def lcg_stream(seed: int):
         yield (state >> 11) / float(1 << 53)
 
 
-def _offsets(seed: int):
-    stream = lcg_stream(seed)
-    return next(stream), next(stream)
-
-
 def _frac(x: float) -> float:
     return x - math.floor(x)
 
 
+def _uv(n: int, seed: int):
+    """The first n (u, v) pairs of the seeded sequence; every point set maps these."""
+    stream = lcg_stream(seed)
+    o1, o2 = next(stream), next(stream)
+    for i in range(n):
+        yield _frac(o1 + (i + 1) * _ALPHA1), _frac(o2 + (i + 1) * _ALPHA2)
+
+
 def disk_points(n: int, seed: int, rmax: float = DISK_RMAX):
     """First n points of the seeded radial-angular sequence in |z| <= rmax."""
-    o1, o2 = _offsets(seed)
-    points = []
-    for i in range(n):
-        r = rmax * math.sqrt(_frac(o1 + (i + 1) * _ALPHA1))
-        theta = 2.0 * math.pi * _frac(o2 + (i + 1) * _ALPHA2)
-        points.append(complex(r * math.cos(theta), r * math.sin(theta)))
-    return points
+    polar = ((rmax * math.sqrt(u), 2.0 * math.pi * v) for u, v in _uv(n, seed))
+    return [complex(r * math.cos(theta), r * math.sin(theta)) for r, theta in polar]
 
 
 def rect_points(n: int, seed: int, rect):
     """First n points of the seeded sequence in the rectangle (x0, x1, y0, y1)."""
     x0, x1, y0, y1 = rect
-    o1, o2 = _offsets(seed)
-    points = []
-    for i in range(n):
-        u = _frac(o1 + (i + 1) * _ALPHA1)
-        v = _frac(o2 + (i + 1) * _ALPHA2)
-        points.append(complex(x0 + (x1 - x0) * u, y0 + (y1 - y0) * v))
-    return points
+    return [complex(x0 + (x1 - x0) * u, y0 + (y1 - y0) * v) for u, v in _uv(n, seed)]
 
 
 def halfplane_points(n: int, seed: int, rect=HALFPLANE_RECT):
@@ -82,7 +77,7 @@ def halfplane_points(n: int, seed: int, rect=HALFPLANE_RECT):
 def point_pairs(points):
     """Split an even-length point list into consecutive pairs."""
     if len(points) % 2:
-        points = points[:-1]
+        raise ValueError(f"point_pairs needs an even number of points, got {len(points)}")
     return [(points[i], points[i + 1]) for i in range(0, len(points), 2)]
 
 
@@ -95,10 +90,11 @@ def halfplane_pairs(n: int, seed: int, rect=HALFPLANE_RECT):
 
 
 def nested_prefix_sets(points, sizes):
-    """Nested point sets as prefixes of one stream; sizes must increase."""
+    """Nested point sets as prefixes of one stream: the one size rule of
+    this module, sizes nonnegative and strictly increasing."""
     sizes = [int(s) for s in sizes]
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be strictly increasing")
+    if any(b <= a for a, b in zip([-1] + sizes, sizes)):
+        raise ValueError("sizes must be nonnegative and strictly increasing")
     if sizes and sizes[-1] > len(points):
         raise ValueError("not enough points for the requested sizes")
     return [list(points[:s]) for s in sizes]
@@ -114,15 +110,9 @@ def membership_disk_sets(sizes, seed: int):
     (distance halves per rung) while the cloud grows with the level size.
     """
     sizes = [int(s) for s in sizes]
-    cloud = disk_points(sizes[-1] if sizes else 0, seed)
-    sets = []
-    for level, size in enumerate(sizes):
-        ladder = [complex(1.0 - 0.5 * 2.0**-j) for j in range(3 + 2 * level)]
-        sets.append(cloud[:size] + ladder)
-    lengths = [len(s) for s in sets]
-    if any(b <= a for a, b in zip(lengths, lengths[1:])):
-        raise ValueError("sizes must be strictly increasing")
-    return sets
+    clouds = nested_prefix_sets(disk_points(sizes[-1] if sizes else 0, seed), sizes)
+    ladder = [complex(1.0 - 0.5 * 2.0**-j) for j in range(1 + 2 * len(sizes))]
+    return [cloud + ladder[: 3 + 2 * level] for level, cloud in enumerate(clouds)]
 
 
 def membership_halfplane_sets(sizes, seed: int):

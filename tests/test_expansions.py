@@ -224,6 +224,24 @@ def test_a_spec_of_the_other_family_raises_type_error(family, spec, call):
         call(spec)
 
 
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: QuadratureRule(np.zeros(2), np.ones(3), 0.0, 1.0), ValueError, "1-d arrays of equal length"),
+        (lambda: QuadratureRule([0.5], [-1.0], 0.0, 1.0), ValueError, "nonnegative"),
+        (lambda: QuadratureRule([2.0], [1.0], 0.0, 1.0), ValueError, r"lie in \[a, b\]"),
+        (lambda: QuadratureRule([0.5], [0.5], 0.0, 1.0), ValueError, "sum to b - a"),
+        (lambda: radial_derivative_identity_check(object(), 0.5, 0.1, 0.2), TypeError, "^unsupported flow spec object$"),
+        (lambda: chordal_derivative_identity_check(object(), 0.5, 1j, 2j), TypeError, "^unsupported flow spec object$"),
+        (lambda: herglotz_mixture_check(AtomicMeasure.dirac(0.5), [(0.1, 0.2)]), ValueError, "probability measure on the unit circle"),
+    ],
+    ids=["rule-shape", "rule-weight", "rule-node", "rule-sum", "radial-derivative-non-spec", "chordal-derivative-non-spec", "mixture-off-circle"],
+)
+def test_guards(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestIntegratedKernel:
     def test_paley_wiener_case(self):
         rule = gauss_legendre(64, -1.0, 1.0)

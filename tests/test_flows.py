@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from loewnerkit import (
     CLOSED_FORM,
+    DIRAC_MINUS_ONE,
     RUNGE_KUTTA,
     AtomicMeasure,
     ChordalFlowSpec,
@@ -20,7 +21,6 @@ from loewnerkit import (
     flow_rule,
     flow_trace,
     herglotz_eval,
-    koebe_eval,
     radial_transition,
     sqrt_halfplane,
 )
@@ -34,10 +34,32 @@ def _disk_sample(rng, n, rmax=0.9):
     return [complex(a, b) for a, b in zip(r * np.cos(theta), r * np.sin(theta))]
 
 
+def koebe_eval(t, z):
+    """Koebe function e^t z / (1 - z)^2: the oracle for the invariant of the Koebe flow."""
+    return np.exp(t) * z / (1.0 - z) ** 2
+
+
 def test_koebe_eval_hand_values():
     assert koebe_eval(0.0, 0.0) == 0.0
     assert abs(koebe_eval(0.0, 0.5) - 2.0) < 1e-15
     assert abs(koebe_eval(1.0, 0.5) - 2.0 * math.e) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "cls, driver, match",
+    [
+        (RadialFlowSpec, (), "at least one"),
+        (RadialFlowSpec, ((0.5, DIRAC_MINUS_ONE),), "must cover the interval start"),
+        (RadialFlowSpec, ((0.0, -1.0),), "AtomicMeasure values"),
+        (RadialFlowSpec, ((0.0, AtomicMeasure.dirac(0.5)),), "probability measures on the unit circle"),
+        (RadialFlowSpec, ((0.0, AtomicMeasure.dirac(-1.0, 0.5)),), "probability measures on the unit circle"),
+        (ChordalFlowSpec, ((0.0, AtomicMeasure.dirac(1j)),), "must live on the real line"),
+    ],
+    ids=["empty", "uncovered-start", "not-a-measure", "off-circle", "not-probability", "chordal-off-line"],
+)
+def test_driver_guards(cls, driver, match):
+    with pytest.raises(ValueError, match=match):
+        cls(0.0, 1.0, driver)
 
 
 class TestRadial:

@@ -464,3 +464,17 @@ class TestDiagBoundScan:
         bt = radial_transition(KOEBE, 0.5, sample)
         bounds = 2.0 * (1.0 + np.abs(bt)) / ((1.0 - np.abs(sample) ** 2) * (1.0 - np.abs(bt)))
         assert np.all(np.isfinite(diagonal)) and np.all(diagonal <= bounds)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: membership_test(PaleyWienerKernel(1.0), lambda z: 1.0, [[0.1, 0.2]], eps=1e-8), "need at least two nested point sets"),
+        (lambda: membership_test(PaleyWienerKernel(1.0), lambda z: 1.0, [[0.1, 0.2], [0.1, 0.2]], eps=1e-8), "point counts must be strictly increasing"),
+        (lambda: PaleyWienerKernel(0.0), "bandwidth must be positive"),
+    ],
+    ids=["one-set", "equal-counts", "zero-bandwidth"],
+)
+def test_guards(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -115,3 +115,24 @@ class TestPick:
             z = complex(rng.uniform(-2, 2), rng.uniform(0.05, 10))
             rep = PickRepresentation(xi / (1 + xi * xi), 0.0, AtomicMeasure.dirac(xi, math.pi))
             assert abs(pick_eval(rep, z) - pick_atom(xi, z)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: AtomicMeasure(((complex(math.inf, 0.0), 1.0),)), "non-finite atom location"),
+        (lambda: PickRepresentation(math.nan, 0.0, AtomicMeasure(())), "b must be finite"),
+        (lambda: herglotz_eval(AtomicMeasure.dirac(0.5), 0.1), "probability measure on the unit circle, got total mass 1.0"),
+        (lambda: herglotz_eval(AtomicMeasure.dirac(-1.0, 0.5), 0.1), "probability measure on the unit circle, got total mass 0.5"),
+    ],
+    ids=["atom-location", "pick-b", "herglotz-off-circle", "herglotz-mass"],
+)
+def test_guards(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_radial_driver_rule():
+    assert AtomicMeasure(((1.0, 0.5), (-1.0, 0.5))).is_radial_driver()
+    assert not AtomicMeasure.dirac(0.5).is_radial_driver()
+    assert not AtomicMeasure.dirac(-1.0, 0.5).is_radial_driver()

@@ -78,3 +78,42 @@ def test_membership_disk_sets_are_nested_and_probe_boundary():
 def test_membership_halfplane_sets_nested():
     sets = membership_halfplane_sets((8, 16), 3)
     assert sets[0] == sets[1][:8]
+
+
+def test_golden_values_of_the_documented_generator():
+    # Exact floats of the documented LCG and sequence: a port to another
+    # language must reproduce these bits.
+    assert list(islice(lcg_stream(1), 2)) == [0.8304592344090381, 0.2583139341082118]
+    assert disk_points(3, 1) == [
+        complex(0.3246991848667368, -0.607201226018211),
+        complex(-0.42077276359923904, 0.31388545777723154),
+        complex(0.27188468890026307, -0.055708390682116055),
+    ]
+    assert rect_points(3, 2, (-1.0, 1.0, -0.3, 0.3)) == [
+        complex(0.2406768972779778, -0.26923183627977126),
+        complex(-0.2495677702286363, 0.07267233831906073),
+        complex(-0.7398124377352513, -0.18542348708210754),
+    ]
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: nested_prefix_sets(disk_points(8, 1), (-5, 3)), "nonnegative and strictly increasing"),
+        (lambda: membership_disk_sets((17, 16), 1), "nonnegative and strictly increasing"),
+        (lambda: membership_disk_sets((16, 16, 16), 1), "nonnegative and strictly increasing"),
+        (lambda: membership_halfplane_sets((16, 16), 3), "nonnegative and strictly increasing"),
+        (lambda: membership_halfplane_sets((-5, 3), 1), "nonnegative and strictly increasing"),
+        (lambda: membership_disk_sets((-5, 3), 1), "nonnegative and strictly increasing"),
+        (lambda: point_pairs(disk_points(3, 1)), "even number of points, got 3"),
+    ],
+    ids=["negative-prefix", "disk-decreasing", "disk-repeated", "halfplane-repeated", "halfplane-negative", "disk-negative", "odd-pairs"],
+)
+def test_size_and_pair_guards(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_membership_sets_at_size_zero():
+    assert membership_halfplane_sets((0, 2), 1) == [[], halfplane_points(2, 1)]
+    assert [len(s) for s in membership_disk_sets((0, 2), 1)] == [3, 7]
